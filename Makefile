@@ -53,9 +53,11 @@ race:
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,
-# checkpoint torn-tail recovery). A few seconds each is enough to replay the
-# checked-in corpus and shake the shallow branches in CI; run `go test
-# -fuzz=<target> -fuzztime=10m <pkg>` for a real hunt.
+# checkpoint torn-tail recovery) and the lazily seeded RNG sources, which
+# must reproduce rand.NewSource's stream for any seed and draw pattern. A few
+# seconds each is enough to replay the checked-in corpus and shake the
+# shallow branches in CI; run `go test -fuzz=<target> -fuzztime=10m <pkg>`
+# for a real hunt.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzScenarioUnmarshal -fuzztime $(FUZZTIME) ./internal/spec/
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzStreamUnmarshal -fuzztime $(FUZZTIME) ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -run NONE -fuzz FuzzSourceExact -fuzztime $(FUZZTIME) ./internal/randsrc/
 
 # Coverage floor gate: measure per-package statement coverage on the tier-1
 # test suite and fail if any package drops below its checked-in floor

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"dualgraph/internal/graph"
+	"dualgraph/internal/randsrc"
 	"dualgraph/internal/sim"
 )
 
@@ -74,23 +75,19 @@ func Run(m *Model, alg sim.Algorithm, cfg sim.Config) (*sim.Result, error) {
 		cfg.MaxRounds = 200*n*n + 10000
 	}
 
-	// Seed derivation mirrors sim.Run so that the same Config produces the
+	// Seed derivation is sim.Run's own, so that the same Config produces the
 	// same per-process randomness in both engines (required for the Lemma 1
-	// equivalence tests with randomized algorithms).
-	baseRng := rand.New(rand.NewSource(cfg.Seed))
-	_ = baseRng.Int63() // assignment rng slot (identity mapping here)
-	_ = baseRng.Int63() // adversary rng slot (no adversary natively)
-	procSeeds := make([]int64, n+1)
-	for pid := 1; pid <= n; pid++ {
-		procSeeds[pid] = baseRng.Int63()
-	}
+	// equivalence tests with randomized algorithms). The assignment and
+	// adversary generators go unused: the mapping is the identity and there
+	// is no adversary natively.
+	rngs := randsrc.NewTrial(cfg.Seed, n)
 
 	procs := make([]sim.Process, n)
 	procOf := make([]int, n)
 	for node := 0; node < n; node++ {
 		pid := node + 1
 		procOf[node] = pid
-		procs[node] = alg.NewProcess(pid, n, rand.New(rand.NewSource(procSeeds[pid])))
+		procs[node] = alg.NewProcess(pid, n, rngs.Procs[pid])
 	}
 
 	src := m.source

@@ -23,6 +23,7 @@ import (
 
 	"dualgraph/internal/core"
 	"dualgraph/internal/graph"
+	"dualgraph/internal/randsrc"
 )
 
 // Message is a sequence number 1..M.
@@ -140,10 +141,11 @@ func Run(d *graph.Dual, p Protocol, cfg Config) (*Result, error) {
 		cfg.Adversary = Greedy
 	}
 	n := d.N()
-	baseRng := rand.New(rand.NewSource(cfg.Seed))
+	arena := randsrc.NewArena(n + 1)
+	rngs := arena.Procs(arena.Rand(cfg.Seed), n)
 	procs := make([]Process, n)
 	for node := 0; node < n; node++ {
-		procs[node] = p.NewProcess(node+1, n, cfg.Messages, rand.New(rand.NewSource(baseRng.Int63())))
+		procs[node] = p.NewProcess(node+1, n, cfg.Messages, rngs[node+1])
 	}
 
 	src := d.Source()

@@ -235,7 +235,7 @@ func (s *Server) ReportShard(id string, rep Report) (JobStatus, error) {
 				j.state = Failed
 				j.err = fmt.Sprintf("cell %d merge: %v", rep.Cell, err)
 				mJobsRunning.Add(-1)
-				jobCompleted(Failed)
+				s.retire(j)
 				s.cond.Broadcast()
 				return j.status(), nil
 			}
@@ -256,7 +256,7 @@ func (s *Server) ReportShard(id string, rep Report) (JobStatus, error) {
 	if co.pending == 0 {
 		j.state = Done
 		mJobsRunning.Add(-1)
-		jobCompleted(Done)
+		s.retire(j)
 	}
 	s.cond.Broadcast()
 	return j.status(), nil

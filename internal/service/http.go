@@ -13,8 +13,8 @@
 // the job's final state; with `Accept: text/event-stream` the same payloads
 // go out as SSE `cell` and `done` events. `?from=K` resumes mid-stream.
 // Errors are {"error":"..."} JSON; typed spec/service errors map to 400
-// (invalid spec or version), 404 (unknown job), 429 (queue full), and 503
-// (draining).
+// (invalid spec or version), 404 (unknown or evicted job), 429 (queue
+// full), and 503 (draining).
 package service
 
 import (

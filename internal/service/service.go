@@ -13,12 +13,15 @@
 // a running job's context; already-completed cells of a cancelled job
 // remain final. Drain stops admission, cancels everything outstanding, and
 // waits for the executor to exit, so a drained server holds no goroutines.
+// The server keeps the newest 64 terminal jobs (maxFinishedJobs); an older
+// job's id then reads as unknown.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,9 +127,16 @@ var (
 	ErrDraining = errors.New("service: draining, not accepting new jobs")
 	// ErrQueueFull rejects submissions when the admission queue is full.
 	ErrQueueFull = errors.New("service: job queue full")
-	// ErrUnknownJob reports a lookup of a job id the server never issued.
+	// ErrUnknownJob reports a lookup of a job id the server never issued,
+	// or one whose terminal record was evicted from the job history.
 	ErrUnknownJob = errors.New("service: unknown job")
 )
+
+// maxFinishedJobs bounds the job history: the server keeps the records and
+// results of the newest maxFinishedJobs terminal jobs and forgets older
+// ones, oldest finish first, so a long-lived server's memory does not grow
+// with the number of jobs it has run. Live jobs are never evicted.
+const maxFinishedJobs = 64
 
 // job is the internal record; all mutable fields are guarded by Server.mu.
 type job struct {
@@ -172,7 +182,10 @@ type Server struct {
 	cond *sync.Cond // broadcast on every job state or result change
 	jobs map[string]*job
 	ids  []string // submission order, for stable listings
-	next int
+	// finished lists retained terminal jobs in the order they finished;
+	// retire evicts from its front.
+	finished []string
+	next     int
 	// draining: admission closed; queue closed once, by Drain.
 	draining bool
 
@@ -278,7 +291,8 @@ func (s *Server) Get(id string) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// List returns every job's status in submission order.
+// List returns the status of every job still on record — every live job
+// plus the newest maxFinishedJobs terminal ones — in submission order.
 func (s *Server) List() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -305,7 +319,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	case Queued:
 		j.state = Cancelled
 		mJobsQueued.Add(-1)
-		jobCompleted(Cancelled)
+		s.retire(j)
 		s.cond.Broadcast()
 	case Running:
 		if j.coord != nil {
@@ -313,7 +327,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 			// accepting claims and reports.
 			j.state = Cancelled
 			mJobsRunning.Add(-1)
-			jobCompleted(Cancelled)
+			s.retire(j)
 			s.cond.Broadcast()
 		} else {
 			j.cancel() // executor publishes the terminal state
@@ -328,7 +342,9 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 // state and every line has been delivered. It returns the job's final
 // status. It unblocks with ctx's error when the caller's context ends
 // first, and stops (returning the emit error) if emit fails — the
-// disconnected-client path. Any number of streams may run concurrently.
+// disconnected-client path. Any number of streams may run concurrently. A
+// stream holds on to its job once it has found it, so evicting the job from
+// the history does not cut off a stream that is already open.
 func (s *Server) StreamResults(ctx context.Context, id string, from int, emit func(CellLine) error) (JobStatus, error) {
 	if from < 0 {
 		from = 0
@@ -342,13 +358,14 @@ func (s *Server) StreamResults(ctx context.Context, id string, from int, emit fu
 	})
 	defer stop()
 
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	}
 	for {
 		s.mu.Lock()
-		j, ok := s.jobs[id]
-		if !ok {
-			s.mu.Unlock()
-			return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
-		}
 		for len(j.results) <= from && !j.state.Terminal() && ctx.Err() == nil {
 			s.cond.Wait()
 		}
@@ -418,9 +435,25 @@ func (s *Server) runJob(j *job) {
 		j.err = err.Error()
 	}
 	mJobsRunning.Add(-1)
-	jobCompleted(j.state)
+	s.retire(j)
 	s.cond.Broadcast()
 	s.mu.Unlock()
+}
+
+// retire records j's terminal transition: it counts the completion and
+// appends j to the job history, evicting the oldest finished job once the
+// history holds more than maxFinishedJobs. Callers hold s.mu and adjust the
+// live gauge (queued or running) themselves, where the prior state is known.
+func (s *Server) retire(j *job) {
+	jobCompleted(j.state)
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = s.finished[1:]
+	delete(s.jobs, old)
+	s.ids = slices.DeleteFunc(s.ids, func(id string) bool { return id == old })
 }
 
 // Drain shuts the server down gracefully: admission stops (Submit returns
@@ -434,6 +467,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		close(s.queue) // executor exits after the jobs already queued
+		// Flip first, retire after: retiring may evict from s.ids.
+		var flipped []*job
 		for _, id := range s.ids {
 			j := s.jobs[id]
 			if j.state == Queued || (j.state == Running && j.coord != nil) {
@@ -443,8 +478,11 @@ func (s *Server) Drain(ctx context.Context) error {
 					mJobsRunning.Add(-1)
 				}
 				j.state = Cancelled
-				jobCompleted(Cancelled)
+				flipped = append(flipped, j)
 			}
+		}
+		for _, j := range flipped {
+			s.retire(j)
 		}
 		s.cond.Broadcast()
 	}

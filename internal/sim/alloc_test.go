@@ -185,3 +185,41 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestSetupAllocationLazyRNG prices per-trial setup: a one-round run at
+// n=129 must allocate less than 4 KB per node. Seeding every process's
+// math/rand source eagerly costs a ~4.9 KB register per process before the
+// first round; the lazily seeded sources of internal/randsrc carry no
+// register until a process draws more than 273 times.
+func TestSetupAllocationLazyRNG(t *testing.T) {
+	const n = 129
+	d, err := graph.CliqueBridge(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := core.NewHarmonicForN(n, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for seed := int64(1); seed <= runs; seed++ {
+		if _, err := sim.Run(d, alg, adversary.GreedyCollider{}, sim.Config{
+			Rule:      sim.CR4,
+			Start:     sim.SyncStart,
+			Seed:      seed,
+			MaxRounds: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(n * 4096); perRun >= limit {
+		t.Fatalf("a one-round run at n=%d allocates %d B, want < %d B (n × 4 KB)", n, perRun, limit)
+	}
+	t.Logf("one-round run at n=%d allocates %d B", n, perRun)
+}

@@ -21,6 +21,7 @@ import (
 
 	"dualgraph/internal/graph"
 	"dualgraph/internal/metrics"
+	"dualgraph/internal/randsrc"
 )
 
 // CollisionRule selects one of the paper's collision rules, in decreasing
@@ -886,15 +887,9 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 			return nil, fmt.Errorf("fork adversary: %w", errNilFork)
 		}
 	}
-	baseRng := rand.New(rand.NewSource(cfg.Seed))
-	assignRng := rand.New(rand.NewSource(baseRng.Int63()))
-	advRng := rand.New(rand.NewSource(baseRng.Int63()))
-	procSeeds := make([]int64, n+1)
-	for pid := 1; pid <= n; pid++ {
-		procSeeds[pid] = baseRng.Int63()
-	}
+	rngs := randsrc.NewTrial(cfg.Seed, n)
 
-	procOf, err := adv.AssignProcs(d, assignRng)
+	procOf, err := adv.AssignProcs(d, rngs.Assign)
 	if err != nil {
 		return nil, fmt.Errorf("assign procs: %w", err)
 	}
@@ -905,7 +900,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 	procs := make([]Process, n)
 	for node := 0; node < n; node++ {
 		pid := procOf[node]
-		procs[node] = alg.NewProcess(pid, n, rand.New(rand.NewSource(procSeeds[pid])))
+		procs[node] = alg.NewProcess(pid, n, rngs.Procs[pid])
 	}
 
 	src := d.Source()
@@ -940,7 +935,7 @@ func RunDynamic(sched graph.Schedule, alg Algorithm, adv Adversary, cfg Config) 
 		HasMessage: hasMsg,
 		Active:     active,
 		Sent:       sent,
-		Rng:        advRng,
+		Rng:        rngs.Adversary,
 	}
 	buf := newRunBuffers(d)
 	if !buf.dense && cfg.Rule == CR4 {
