@@ -103,9 +103,9 @@ bench-smoke:
 
 # The perf-trajectory artifact: hot-path, reducer, grid, graph-layer,
 # dynamics, checkpoint, and observability benchmarks parsed into
-# BENCH_pr9.json (benchmark name -> ns/op, B/op, allocs/op, custom metrics).
+# BENCH_pr10.json (benchmark name -> ns/op, B/op, allocs/op, custom metrics).
 # The 'BenchmarkEngine' pattern covers both the slice path
-# (EngineSequential/Parallel) and the streaming reducer
+# (EngineSequential/Parallel) and the one-cell streaming grid
 # (EngineReduceSequential/Parallel); 'BenchmarkSimRoundLoop'
 # also matches the Static/Dynamic pair that brackets the hoisted round loop;
 # 'BenchmarkGridSweep' captures cross-cell parallel throughput of the

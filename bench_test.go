@@ -468,11 +468,11 @@ func benchEngineTrials(b *testing.B, workers int) {
 	}
 	bound := int(2 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
+	cell := engine.Trial{Net: d, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}
 	const trials = 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := engine.RunMany(d, alg, adversary.GreedyCollider{}, simCfg, trials,
-			engine.Config{Workers: workers})
+		results, err := engine.RunMany(context.Background(), cell, trials, engine.Config{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -500,8 +500,8 @@ func BenchmarkEngineParallel(b *testing.B) {
 }
 
 // benchEngineReduce runs the same Monte Carlo workload as benchEngineTrials
-// through the streaming reducer: identical trials and seeds, but folded into
-// shard accumulators instead of a materialized result slice.
+// through the streaming path, a one-cell grid: identical trials and seeds,
+// but folded into shard accumulators instead of a materialized result slice.
 func benchEngineReduce(b *testing.B, workers int) {
 	b.Helper()
 	n := 65
@@ -515,14 +515,16 @@ func benchEngineReduce(b *testing.B, workers int) {
 	}
 	bound := int(2 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
+	cells := []engine.Trial{{Net: d, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}}
 	const trials = 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := engine.RunStream(d, alg, adversary.GreedyCollider{}, simCfg, trials,
-			engine.Config{Workers: workers}, engine.StreamConfig{})
+		sums, err := engine.RunGridStreamFromContext(context.Background(), cells, trials,
+			engine.Config{Workers: workers}, engine.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sum := sums[0]
 		if sum.Completed != trials {
 			b.Fatalf("broadcast incomplete: %d/%d", sum.Completed, sum.Trials)
 		}
@@ -530,13 +532,13 @@ func benchEngineReduce(b *testing.B, workers int) {
 	b.ReportMetric(float64(trials), "trials/op")
 }
 
-// BenchmarkEngineReduceSequential is the single-worker streaming-reducer
+// BenchmarkEngineReduceSequential is the single-worker streaming-path
 // baseline: same workload as BenchmarkEngineSequential, O(shards) memory.
 func BenchmarkEngineReduceSequential(b *testing.B) {
 	benchEngineReduce(b, 1)
 }
 
-// BenchmarkEngineReduceParallel fans the reducer's shards out over one
+// BenchmarkEngineReduceParallel fans the one-cell grid's shards out over one
 // worker per CPU; the summary is bit-identical to the sequential run.
 func BenchmarkEngineReduceParallel(b *testing.B) {
 	benchEngineReduce(b, runtime.GOMAXPROCS(0))
@@ -643,7 +645,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // benchGridSweep executes a 4-cell × 16-trial declarative grid (two
 // topologies × two algorithms of the Table 1/2 workloads) through
-// Sweep.Run. Work is fanned out at (cell, shard) granularity, so the
+// Sweep.StreamFrom. Work is fanned out at (cell, shard) granularity, so the
 // parallel variant exercises cross-cell parallelism on top of within-cell
 // sharding; the GridResult is bit-identical between the two variants.
 func benchGridSweep(b *testing.B, workers int) {
@@ -662,7 +664,8 @@ func benchGridSweep(b *testing.B, workers int) {
 	cells := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		grid, err := sweep.Run(dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+		grid, err := sweep.StreamFrom(context.Background(), dualgraph.EngineConfig{Workers: workers},
+			dualgraph.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -748,7 +751,7 @@ func BenchmarkEpochSwapIncremental(b *testing.B) {
 }
 
 // benchDynamicSweep runs a churn-schedule Monte Carlo sweep through the
-// streaming reducer: the end-to-end dynamics path (epoch builds + swaps +
+// streaming path as a one-cell grid: the end-to-end dynamics path (epoch builds + swaps +
 // round loop) under the engine's per-trial seed derivation.
 func benchDynamicSweep(b *testing.B, workers int) {
 	b.Helper()
@@ -767,14 +770,16 @@ func benchDynamicSweep(b *testing.B, workers int) {
 	}
 	bound := int(4 * float64(n*alg.T) * stats.HarmonicNumber(n))
 	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 1, MaxRounds: bound}
+	cells := []engine.Trial{{Net: d, Sched: sched, Alg: alg, Adv: adversary.GreedyCollider{}, Cfg: simCfg}}
 	const trials = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := engine.RunStreamSchedule(sched, alg, adversary.GreedyCollider{}, simCfg, trials,
-			engine.Config{Workers: workers}, engine.StreamConfig{})
+		sums, err := engine.RunGridStreamFromContext(context.Background(), cells, trials,
+			engine.Config{Workers: workers}, engine.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		sum := sums[0]
 		if sum.Completed != trials {
 			b.Fatalf("broadcast incomplete: %d/%d", sum.Completed, sum.Trials)
 		}

@@ -200,7 +200,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return runMany(ctx, w, built, *topo, schedSuffix(*sched), *rule, *start, *seed, *trials, *workers)
 	}
 
-	res, err := built.RunContext(ctx)
+	res, err := built.Run()
 	if err != nil {
 		return err
 	}
@@ -337,10 +337,7 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 	if err != nil {
 		return err
 	}
-	trials := sw.Trials
-	if trials == 0 {
-		trials = 1
-	}
+	trials := sw.TrialCount()
 
 	sc := dualgraph.StreamConfig{}
 	var (
@@ -421,11 +418,11 @@ func runSpec(ctx context.Context, w io.Writer, path string, workers int, ckptPat
 	return nil
 }
 
-// runStream executes a memory-bounded Monte Carlo sweep through the
-// streaming reducer and prints aggregate round statistics. Counts, min and
-// max are exact; mean is exact up to rounding; quantiles are exact while
-// the trial count is within the sketch's exact regime and P² estimates
-// beyond it. Output is identical at any -workers value.
+// runStream executes a memory-bounded Monte Carlo sweep as a one-cell grid
+// and prints aggregate round statistics. Counts, min and max are exact;
+// mean is exact up to rounding; quantiles are exact while the trial count
+// is within the sketch's exact regime and P² estimates beyond it. Output is
+// identical at any -workers value.
 func runStream(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, topo, sched string, rule int, start string, seed int64, trials, workers int, showProgress bool, metricsAddr string) error {
 	sc := dualgraph.StreamConfig{}
 	var onShard func(dualgraph.ShardState)
@@ -437,10 +434,12 @@ func runStream(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, top
 		defer cleanup()
 		onShard = obs
 	}
-	sum, err := b.RunStreamFromContext(ctx, trials, dualgraph.EngineConfig{Workers: workers}, sc, nil, onShard)
+	sums, err := dualgraph.RunGrid(ctx, []dualgraph.EngineTrial{b.Trial()}, trials,
+		dualgraph.EngineConfig{Workers: workers}, sc, nil, onShard, nil)
 	if err != nil {
 		return err
 	}
+	sum := sums[0]
 	fmt.Fprintf(w, "topology=%s n=%d alg=%s adversary=%s rule=CR%d start=%s seed=%d trials=%d stream=true%s\n",
 		topo, b.Net.N(), b.Alg.Name(), b.Adv.Name(), rule, start, seed, trials, sched)
 	fmt.Fprintf(w, "%s\n", dualgraph.FormatSummary(sum))
@@ -450,7 +449,7 @@ func runStream(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, top
 // runMany executes a Monte Carlo sweep through the parallel trial engine
 // and prints aggregate round statistics.
 func runMany(ctx context.Context, w io.Writer, b *dualgraph.BuiltScenario, topo, sched string, rule int, start string, seed int64, trials, workers int) error {
-	results, err := b.RunManyContext(ctx, trials, dualgraph.EngineConfig{Workers: workers})
+	results, err := dualgraph.RunMany(ctx, b.Trial(), trials, dualgraph.EngineConfig{Workers: workers})
 	if err != nil {
 		return err
 	}

@@ -54,6 +54,22 @@ import (
 	"dualgraph/internal/service"
 )
 
+// Connection timeouts of the service listener. A client must finish its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout, so a stalled or abandoned client
+// cannot hold a connection and its goroutine forever. There is deliberately
+// no write timeout: ndjson and SSE result streams last as long as their job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in a server with the connection
+// timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		log.SetFlags(0)
@@ -108,7 +124,7 @@ func run(args []string) error {
 		debug.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = debug
 	}
-	hs := &http.Server{Handler: handler}
+	hs := newHTTPServer(handler)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -10,7 +10,7 @@
 //   - the synchronous round-based execution model with collision rules
 //     CR1-CR4 and synchronous/asynchronous starts (Run, Config), with an
 //     allocation-free steady-state round loop;
-//   - a sharded, deterministic parallel trial engine (RunMany,
+//   - a sharded, deterministic parallel trial engine (RunMany, RunGrid,
 //     EngineConfig) that fans independent trials out over a
 //     GOMAXPROCS-sized worker pool while guaranteeing bit-identical
 //     results at any worker count;
@@ -39,12 +39,13 @@
 // (Config.Seed, i), so the result slice is reproducible regardless of
 // parallelism:
 //
-//	results, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{},
-//		dualgraph.Config{Seed: 1}, 10000, dualgraph.EngineConfig{})
+//	trial := dualgraph.EngineTrial{Net: net, Alg: alg,
+//		Adv: dualgraph.GreedyCollider{}, Cfg: dualgraph.Config{Seed: 1}}
+//	results, err := dualgraph.RunMany(context.Background(), trial, 10000,
+//		dualgraph.EngineConfig{})
 package dualgraph
 
 import (
-	"context"
 	"math/rand"
 
 	"dualgraph/internal/adversary"
@@ -128,9 +129,9 @@ func Run(net *Network, alg Algorithm, adv Adversary, cfg Config) (*Result, error
 	return sim.Run(net, alg, adv, cfg)
 }
 
-// EngineConfig configures the parallel trial engine behind RunMany: worker
-// pool size and work batch size. The zero value runs one worker per logical
-// CPU. Neither setting ever changes results, only throughput.
+// EngineConfig configures the parallel trial engine behind RunMany and
+// RunGrid: the worker pool size. The zero value runs one worker per logical
+// CPU. The setting never changes results, only throughput.
 type EngineConfig = engine.Config
 
 // BufferedAdversary is the optional allocation-free delivery interface; see
@@ -144,25 +145,27 @@ type BufferedAdversary = sim.BufferedDeliverer
 // implementations.
 type DeliverySink = sim.DeliverySink
 
-// RunMany executes trials independent runs of the same (net, alg, adv, cfg)
-// combination across a worker pool, returning results indexed by trial.
-// Trial i's seed is a SplitMix64-style mix of cfg.Seed and i — a pure
-// function of the trial index, so for a fixed cfg.Seed the returned slice
-// is bit-identical at any worker count, while different cfg.Seed values
-// yield statistically independent replications. On error it reports the
-// lowest-indexed failing trial.
-func RunMany(net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunMany(net, alg, adv, cfg, trials, ec)
-}
-
-// RunManyContext is RunMany with cooperative cancellation: the sweep stops
-// at the next work-batch boundary once ctx is done and returns an error
-// satisfying errors.Is(err, ctx.Err()). Results are only returned for runs
-// that finish uncancelled; determinism is unaffected (a completed call is
-// bit-identical to RunMany).
-func RunManyContext(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunManyContext(ctx, net, alg, adv, cfg, trials, ec)
-}
+// The trial engine: one slice path and one streaming path, both over
+// EngineTrial values. Trial i of an EngineTrial runs with a seed that is a
+// SplitMix64-style mix of its Cfg.Seed and i — a pure function of the trial
+// index, so results are bit-identical at any worker count, while different
+// seeds yield statistically independent replications. A dynamic network is
+// an EngineTrial with Sched set. On error both report the lowest-indexed
+// failing trial; cancelling ctx stops them at the next claim boundary with
+// an error satisfying errors.Is(err, ctx.Err()).
+var (
+	// RunMany executes trials independent runs of one EngineTrial across
+	// the worker pool and returns the results indexed by trial.
+	RunMany = engine.RunMany
+	// RunGrid is the memory-bounded, resumable counterpart of RunMany: it
+	// runs trials of every cell and folds each result into per-cell shard
+	// accumulators as soon as it is produced, so a ten-million-trial sweep
+	// runs in O(1) result memory. A single scenario is a one-cell grid; a
+	// fresh run passes nil seed and hooks. Counts/min/max are exact,
+	// mean/variance exact up to rounding, and quantiles exact until the
+	// trial count exceeds StreamConfig.ExactK (P² estimates beyond).
+	RunGrid = engine.RunGridStreamFromContext
+)
 
 // Streaming trial aggregation (memory-bounded sweeps).
 type (
@@ -171,10 +174,10 @@ type (
 	// exact up to a spill threshold and P²-estimated beyond it.
 	Stream = stats.Stream
 	// StreamConfig selects the tracked quantiles and the exact-until-K
-	// spill threshold of a RunStream summary; the zero value tracks
+	// spill threshold of a RunGrid summary; the zero value tracks
 	// p50/p90/p95/p99 with the default threshold.
 	StreamConfig = engine.StreamConfig
-	// TrialSummary is the streaming aggregate of a RunStream sweep.
+	// TrialSummary is the streaming aggregate of one RunGrid cell.
 	TrialSummary = engine.TrialSummary
 )
 
@@ -204,8 +207,8 @@ type (
 	// CheckpointWriter appends records to a checkpoint file; Append is
 	// concurrency-safe and syncs before returning.
 	CheckpointWriter = checkpoint.Writer
-	// EngineTrial is one fully materialized trial setup — what FoldShard
-	// executes; build it from a Scenario's Build() fields.
+	// EngineTrial is one fully materialized trial setup — what RunMany,
+	// RunGrid and FoldShard execute; BuiltScenario.Trial returns one.
 	EngineTrial = engine.Trial
 	// ErrCheckpointVersion reports a checkpoint file format this build does
 	// not speak.
@@ -272,33 +275,6 @@ func RunDynamic(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config) (
 	return sim.RunDynamic(sched, alg, adv, cfg)
 }
 
-// RunManySchedule is RunMany over a dynamic network: trial i's seed is the
-// same pure function of (cfg.Seed, i), and each trial's epoch randomness is
-// derived from its trial seed, so dynamic sweeps too are bit-identical at
-// any worker count.
-func RunManySchedule(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunManySchedule(sched, alg, adv, cfg, trials, ec)
-}
-
-// RunManyScheduleContext is RunManySchedule with cooperative cancellation
-// (see RunManyContext for the contract).
-func RunManyScheduleContext(ctx context.Context, sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig) ([]*Result, error) {
-	return engine.RunManyScheduleContext(ctx, sched, alg, adv, cfg, trials, ec)
-}
-
-// RunStreamSchedule is RunStream over a dynamic network (memory-bounded
-// dynamic sweeps, same determinism contract as RunManySchedule).
-func RunStreamSchedule(sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStreamSchedule(sched, alg, adv, cfg, trials, ec, sc)
-}
-
-// RunStreamScheduleContext is RunStreamSchedule with cooperative
-// cancellation: the reduction stops at the next shard boundary once ctx is
-// done (see RunManyContext for the error contract).
-func RunStreamScheduleContext(ctx context.Context, sched EpochSchedule, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStreamScheduleContext(ctx, sched, alg, adv, cfg, trials, ec, sc)
-}
-
 // Epoch-schedule constructors (the registry equivalents are
 // NamedSchedule("churn", ...) etc.).
 var (
@@ -312,24 +288,6 @@ var (
 	// model; the base network contributes its node count and source.
 	NewWaypointSchedule = graph.NewWaypoint
 )
-
-// RunStream is the memory-bounded counterpart of RunMany: the same trials,
-// worker pool, and per-trial seed derivation, but every Result is folded
-// into shard accumulators as soon as it is produced instead of being
-// retained, so a ten-million-trial sweep runs in O(1) result memory. The
-// summary is bit-identical at any worker count; counts/min/max are exact,
-// mean/variance exact up to rounding, and quantiles exact until the trial
-// count exceeds StreamConfig.ExactK (P² estimates beyond).
-func RunStream(net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStream(net, alg, adv, cfg, trials, ec, sc)
-}
-
-// RunStreamContext is RunStream with cooperative cancellation: the
-// reduction stops at the next shard boundary once ctx is done (see
-// RunManyContext for the error contract).
-func RunStreamContext(ctx context.Context, net *Network, alg Algorithm, adv Adversary, cfg Config, trials int, ec EngineConfig, sc StreamConfig) (*TrialSummary, error) {
-	return engine.RunStreamContext(ctx, net, alg, adv, cfg, trials, ec, sc)
-}
 
 // Declarative scenario and sweep layer: name-addressed, JSON-round-trippable
 // experiment specs executed on the deterministic engine. See the package
@@ -364,8 +322,8 @@ type (
 	GridCell = spec.Cell
 	// CellResult pairs a grid cell with its streamed trial summary.
 	CellResult = spec.CellResult
-	// GridResult is the outcome of Sweep.Run, keyed by cell labels; it is
-	// bit-identical at any worker count.
+	// GridResult is the outcome of Sweep.StreamFrom, keyed by cell labels;
+	// it is bit-identical at any worker count.
 	GridResult = spec.GridResult
 	// ErrUnsupportedVersion reports a Scenario/Sweep/job document whose
 	// "version" field names a wire format this build does not speak (an

@@ -1,6 +1,7 @@
 package dualgraph_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -110,15 +111,13 @@ func TestFacadeRunMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dualgraph.Config{Seed: 5}
+	trial := dualgraph.EngineTrial{Net: net, Alg: alg, Adv: dualgraph.GreedyCollider{}, Cfg: dualgraph.Config{Seed: 5}}
 	const trials = 16
-	seq, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-		dualgraph.EngineConfig{Workers: 1})
+	seq, err := dualgraph.RunMany(context.Background(), trial, trials, dualgraph.EngineConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-		dualgraph.EngineConfig{Workers: 8})
+	par, err := dualgraph.RunMany(context.Background(), trial, trials, dualgraph.EngineConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +134,9 @@ func TestFacadeRunMany(t *testing.T) {
 	}
 }
 
-// TestFacadeRunStream checks the public streaming sweep: the summary must
-// agree with the materialized RunMany results on the same seeds, and with
-// itself at any worker count.
+// TestFacadeRunStream checks the public streaming sweep, a one-cell RunGrid:
+// the summary must agree with the materialized RunMany results on the same
+// seeds, and with itself at any worker count.
 func TestFacadeRunStream(t *testing.T) {
 	net, err := dualgraph.CliqueBridge(17)
 	if err != nil {
@@ -147,20 +146,20 @@ func TestFacadeRunStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dualgraph.Config{Seed: 5}
+	trial := dualgraph.EngineTrial{Net: net, Alg: alg, Adv: dualgraph.GreedyCollider{}, Cfg: dualgraph.Config{Seed: 5}}
 	const trials = 16
-	results, err := dualgraph.RunMany(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-		dualgraph.EngineConfig{})
+	results, err := dualgraph.RunMany(context.Background(), trial, trials, dualgraph.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref *dualgraph.TrialSummary
 	for _, workers := range []int{1, 4} {
-		sum, err := dualgraph.RunStream(net, alg, dualgraph.GreedyCollider{}, cfg, trials,
-			dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+		sums, err := dualgraph.RunGrid(context.Background(), []dualgraph.EngineTrial{trial}, trials,
+			dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sum := sums[0]
 		if sum.Trials != trials || sum.Completed != trials {
 			t.Fatalf("workers=%d: %d/%d completed, want all %d", workers, sum.Completed, sum.Trials, trials)
 		}
@@ -229,7 +228,8 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 		Adversaries: []dualgraph.Choice{{Name: "benign"}, {Name: "greedy"}},
 		Trials:      6,
 	}
-	grid, err := sw.Run(dualgraph.EngineConfig{Workers: 4}, dualgraph.StreamConfig{})
+	grid, err := sw.StreamFrom(context.Background(), dualgraph.EngineConfig{Workers: 4}, dualgraph.StreamConfig{},
+		nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +240,17 @@ func TestFacadeScenarioAndSweep(t *testing.T) {
 	if !ok {
 		t.Fatal("adv=greedy cell missing")
 	}
-	standalone, err := scn.RunStream(6, dualgraph.EngineConfig{Workers: 1}, dualgraph.StreamConfig{})
+	built, err := scn.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cr.Summary, standalone) {
-		t.Fatal("grid cell summary differs from the cell's standalone RunStream")
+	standalone, err := dualgraph.RunGrid(context.Background(), []dualgraph.EngineTrial{built.Trial()}, 6,
+		dualgraph.EngineConfig{Workers: 1}, dualgraph.StreamConfig{}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cr.Summary, standalone[0]) {
+		t.Fatal("grid cell summary differs from the cell run alone")
 	}
 	if len(dualgraph.ListTopologies()) == 0 || len(dualgraph.ListAlgorithms()) == 0 || len(dualgraph.ListAdversaries()) == 0 {
 		t.Fatal("registry listings empty through the facade")

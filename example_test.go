@@ -1,6 +1,7 @@
 package dualgraph_test
 
 import (
+	"context"
 	"fmt"
 
 	"dualgraph"
@@ -32,10 +33,11 @@ func ExampleNewScenario() {
 	// completed: true rounds: 7
 }
 
-// ExampleRunStream aggregates a Monte Carlo sweep without retaining
-// per-trial results: memory stays O(shards) at any trial count and the
-// summary is bit-identical at any worker count.
-func ExampleRunStream() {
+// ExampleRunGrid aggregates a Monte Carlo sweep of one scenario — a
+// one-cell grid — without retaining per-trial results: memory stays
+// O(shards) at any trial count and the summary is bit-identical at any
+// worker count.
+func ExampleRunGrid() {
 	net, err := dualgraph.CliqueBridge(9)
 	if err != nil {
 		panic(err)
@@ -44,11 +46,13 @@ func ExampleRunStream() {
 	if err != nil {
 		panic(err)
 	}
-	sum, err := dualgraph.RunStream(net, alg, dualgraph.GreedyCollider{},
-		dualgraph.Config{Seed: 2}, 8, dualgraph.EngineConfig{}, dualgraph.StreamConfig{})
+	cell := dualgraph.EngineTrial{Net: net, Alg: alg, Adv: dualgraph.GreedyCollider{}, Cfg: dualgraph.Config{Seed: 2}}
+	sums, err := dualgraph.RunGrid(context.Background(), []dualgraph.EngineTrial{cell}, 8,
+		dualgraph.EngineConfig{}, dualgraph.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		panic(err)
 	}
+	sum := sums[0]
 	p50, err := sum.Rounds.Quantile(0.5)
 	if err != nil {
 		panic(err)
@@ -77,7 +81,7 @@ func ExampleSweep() {
 		Ns:         []int{6, 12},
 		Trials:     4,
 	}
-	grid, err := sweep.Run(dualgraph.EngineConfig{}, dualgraph.StreamConfig{})
+	grid, err := sweep.StreamFrom(context.Background(), dualgraph.EngineConfig{}, dualgraph.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		panic(err)
 	}

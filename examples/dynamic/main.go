@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -55,7 +56,8 @@ func run(trials, workers int, seed int64) error {
 		},
 		Trials: trials,
 	}
-	grid, err := sweep.Run(dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+	grid, err := sweep.StreamFrom(context.Background(), dualgraph.EngineConfig{Workers: workers},
+		dualgraph.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		return err
 	}

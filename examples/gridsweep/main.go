@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -66,7 +67,8 @@ func run(trials, workers int, seed int64, emit bool) error {
 		return enc.Encode(sweep)
 	}
 
-	grid, err := sweep.Run(dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{})
+	grid, err := sweep.StreamFrom(context.Background(), dualgraph.EngineConfig{Workers: workers},
+		dualgraph.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,6 @@
 // Megasweep: a million-trial Monte Carlo percentile sweep in bounded
 // memory. RunMany would retain one Result per trial (hundreds of MB at this
-// scale); RunStream folds every trial into ~256 shard accumulators as soon
+// scale); RunGrid folds every trial into ~256 shard accumulators as soon
 // as it finishes, so resident memory stays flat no matter how many trials
 // run — the aggregate below is bit-identical at any worker count, with
 // exact counts/min/max/mean and P²-estimated quantiles.
@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,16 +43,20 @@ func run(trials, n, workers int, seed int64) error {
 		return fmt.Errorf("build algorithm: %w", err)
 	}
 
-	sum, err := dualgraph.RunStream(net, alg, dualgraph.Benign{}, dualgraph.Config{
+	// One scenario is a one-cell grid.
+	cell := dualgraph.EngineTrial{Net: net, Alg: alg, Adv: dualgraph.Benign{}, Cfg: dualgraph.Config{
 		Rule:  dualgraph.CR3,
 		Start: dualgraph.SyncStart,
 		Seed:  seed,
-	}, trials, dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{
-		Quantiles: []float64{0.5, 0.9, 0.95, 0.99, 0.999},
-	})
+	}}
+	sums, err := dualgraph.RunGrid(context.Background(), []dualgraph.EngineTrial{cell}, trials,
+		dualgraph.EngineConfig{Workers: workers}, dualgraph.StreamConfig{
+			Quantiles: []float64{0.5, 0.9, 0.95, 0.99, 0.999},
+		}, nil, nil, nil)
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
+	sum := sums[0]
 
 	fmt.Printf("megasweep: %d trials of %s on a %d-node line (benign, CR3, sync)\n",
 		sum.Trials, alg.Name(), n)

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,31 +41,25 @@ func TestContextPreCancelled(t *testing.T) {
 	cancel()
 	cell := testCell(t, 1)
 
-	if _, err := MapContext(ctx, 100, Config{Workers: 4}, func(i int) (int, error) { return i, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapContext: want context.Canceled, got %v", err)
+	for _, workers := range []int{1, 4} {
+		if _, err := MapContext(ctx, 100, Config{Workers: workers}, func(i int) (int, error) { return i, nil }); !errors.Is(err, context.Canceled) {
+			t.Fatalf("MapContext workers=%d: want context.Canceled, got %v", workers, err)
+		}
 	}
-	if _, err := ReduceContext(ctx, 100, Config{Workers: 4},
-		func(i int) (int, error) { return i, nil },
-		func() *int { v := 0; return &v },
-		func(acc *int, _ int, v int) error { *acc += v; return nil },
-		func(dst, src *int) error { *dst += *src; return nil },
-	); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReduceContext: want context.Canceled, got %v", err)
+	if _, err := RunMany(ctx, cell, 50, Config{Workers: 4}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunMany: want context.Canceled, got %v", err)
 	}
-	if _, err := RunManyContext(ctx, cell.Net, cell.Alg, cell.Adv, cell.Cfg, 50, Config{Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunManyContext: want context.Canceled, got %v", err)
+	if _, err := RunGridStreamFromContext(ctx, []Trial{cell}, 50, Config{Workers: 4}, StreamConfig{}, nil, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunGridStreamFromContext: want context.Canceled, got %v", err)
 	}
-	if _, err := RunStreamContext(ctx, cell.Net, cell.Alg, cell.Adv, cell.Cfg, 50, Config{Workers: 4}, StreamConfig{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunStreamContext: want context.Canceled, got %v", err)
-	}
-	if _, err := RunGridStreamContext(ctx, []Trial{cell}, 50, Config{Workers: 4}, StreamConfig{}, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunGridStreamContext: want context.Canceled, got %v", err)
+	if _, err := FoldShardContext(ctx, cell, 0, 5, StreamConfig{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FoldShardContext: want context.Canceled, got %v", err)
 	}
 }
 
 // Cancelling mid-run stops the grid without delivering incomplete cells:
 // every summary handed to onCell must be byte-identical to the same cell's
-// uninterrupted standalone RunStream.
+// uninterrupted one-cell run.
 func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 	const trials = 64
 	cells := []Trial{testCell(t, 1), testCell(t, 2), testCell(t, 3), testCell(t, 4)}
@@ -72,7 +68,7 @@ func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 	var mu sync.Mutex
 	delivered := map[int]*TrialSummary{}
 	n := 0
-	_, err := RunGridStreamContext(ctx, cells, trials, Config{Workers: 2}, StreamConfig{},
+	_, err := RunGridStreamFromContext(ctx, cells, trials, Config{Workers: 2}, StreamConfig{}, nil, nil,
 		func(c int, sum *TrialSummary) {
 			mu.Lock()
 			delivered[c] = sum
@@ -93,10 +89,11 @@ func TestGridContextCancelDeliversOnlyCompleteCells(t *testing.T) {
 		t.Log("all cells completed before the cancel took effect (tiny grid); delivery-equality still checked")
 	}
 	for c, got := range delivered {
-		want, err := RunStream(cells[c].Net, cells[c].Alg, cells[c].Adv, cells[c].Cfg, trials, Config{Workers: 1}, StreamConfig{})
+		alone, err := RunGridStreamFromContext(context.Background(), cells[c:c+1], trials, Config{Workers: 1}, StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := alone[0]
 		if got.Trials != want.Trials || got.Completed != want.Completed {
 			t.Fatalf("cell %d: delivered summary (%d/%d) differs from standalone (%d/%d)",
 				c, got.Completed, got.Trials, want.Completed, want.Trials)
@@ -116,7 +113,7 @@ func TestGridOnCellDeliversEveryCellOnce(t *testing.T) {
 	var calls [3]atomic.Int32
 	var got [3]*TrialSummary
 	var mu sync.Mutex
-	sums, err := RunGridStreamContext(context.Background(), cells, 10, Config{Workers: 4}, StreamConfig{},
+	sums, err := RunGridStreamFromContext(context.Background(), cells, 10, Config{Workers: 4}, StreamConfig{}, nil, nil,
 		func(c int, sum *TrialSummary) {
 			calls[c].Add(1)
 			mu.Lock()
@@ -151,5 +148,49 @@ func TestContextErrorPrecedence(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want the trial error to take precedence, got %v", err)
+	}
+}
+
+// errEpoch is the failure failingSched injects.
+var errEpoch = errors.New("injected epoch failure")
+
+// failingSched wraps a schedule so that epoch 0 fails for chosen trials,
+// which puts trial errors at known indices of a real run.
+type failingSched struct {
+	graph.Schedule
+	fail map[int64]int // trial seed → trial index
+}
+
+func (f failingSched) Epoch(e int, seed int64) (*graph.Dual, error) {
+	if i, ok := f.fail[seed]; ok {
+		return nil, fmt.Errorf("%w at %d", errEpoch, i)
+	}
+	return f.Schedule.Epoch(e, seed)
+}
+
+// failAt returns cell's schedule with the runs of the given trial indices
+// failing.
+func failAt(cell Trial, trials ...int) graph.Schedule {
+	fail := make(map[int64]int, len(trials))
+	for _, i := range trials {
+		fail[SeedFor(cell.Cfg.Seed, i)] = i
+	}
+	return failingSched{Schedule: graph.Static(cell.Net), fail: fail}
+}
+
+// Several trials of one cell fail; the reported error must name the lowest
+// of them regardless of worker count or scheduling.
+func TestReduceReportsLowestIndexError(t *testing.T) {
+	cell := metricsCell(t)
+	cell.Sched = failAt(cell, 77, 300, 499)
+	for _, workers := range []int{1, 4} {
+		_, err := RunGridStreamFromContext(context.Background(), []Trial{cell}, 500, Config{Workers: workers},
+			StreamConfig{}, nil, nil, nil)
+		if err == nil || !errors.Is(err, errEpoch) {
+			t.Fatalf("workers=%d: want errEpoch, got %v", workers, err)
+		}
+		if !strings.Contains(err.Error(), "cell 0 trial 77") {
+			t.Fatalf("workers=%d: error %q must name the lowest failing trial", workers, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,11 +34,12 @@ func dynamicFixture(t *testing.T) (graph.Schedule, *graph.Dual, sim.Algorithm, s
 // bit-identical-at-any-worker-count guarantee, because each trial's epoch
 // randomness is a pure function of its derived trial seed.
 func TestRunManyScheduleWorkerInvariance(t *testing.T) {
-	sched, _, alg, adv, cfg := dynamicFixture(t)
+	sched, base, alg, adv, cfg := dynamicFixture(t)
+	cell := engine.Trial{Net: base, Sched: sched, Alg: alg, Adv: adv, Cfg: cfg}
 	const trials = 24
 	var want []*sim.Result
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := engine.RunManySchedule(sched, alg, adv, cfg, trials, engine.Config{Workers: workers})
+		got, err := engine.RunMany(context.Background(), cell, trials, engine.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,21 +63,16 @@ func TestRunManyScheduleWorkerInvariance(t *testing.T) {
 }
 
 // TestRunStreamScheduleMatchesSlicePath: the streamed dynamic aggregate must
-// agree with the materialized RunManySchedule results (exact in the
-// small-count regime) and be worker-invariant including P² marker state.
+// agree with the materialized RunMany results (exact in the small-count
+// regime) and be worker-invariant including P² marker state.
 func TestRunStreamScheduleMatchesSlicePath(t *testing.T) {
-	sched, _, alg, adv, cfg := dynamicFixture(t)
+	sched, base, alg, adv, cfg := dynamicFixture(t)
+	cell := engine.Trial{Net: base, Sched: sched, Alg: alg, Adv: adv, Cfg: cfg}
 	const trials = 32
-	results, err := engine.RunManySchedule(sched, alg, adv, cfg, trials, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runMany(t, cell, trials, engine.Config{})
 	var want *engine.TrialSummary
 	for _, workers := range []int{1, 2, 8} {
-		sum, err := engine.RunStreamSchedule(sched, alg, adv, cfg, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		sum := streamOne(t, cell, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
 		if want == nil {
 			want = sum
 			if sum.Trials != trials {
@@ -106,8 +103,8 @@ func TestRunStreamScheduleMatchesSlicePath(t *testing.T) {
 }
 
 // TestGridStreamDynamicCellEqualsStandalone: a grid mixing static and
-// dynamic cells must reproduce, per cell, exactly the standalone
-// RunStreamSchedule summary at any worker count.
+// dynamic cells must reproduce, per cell, exactly the summary of that cell
+// run alone at any worker count.
 func TestGridStreamDynamicCellEqualsStandalone(t *testing.T) {
 	sched, base, alg, adv, cfg := dynamicFixture(t)
 	const trials = 16
@@ -115,24 +112,19 @@ func TestGridStreamDynamicCellEqualsStandalone(t *testing.T) {
 		{Net: base, Alg: alg, Adv: adv, Cfg: cfg},
 		{Net: base, Sched: sched, Alg: alg, Adv: adv, Cfg: cfg},
 	}
-	standaloneStatic, err := engine.RunStream(base, alg, adv, cfg, trials, engine.Config{}, engine.StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	standaloneDyn, err := engine.RunStreamSchedule(sched, alg, adv, cfg, trials, engine.Config{}, engine.StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	standaloneStatic := streamOne(t, cells[0], trials, engine.Config{}, engine.StreamConfig{})
+	standaloneDyn := streamOne(t, cells[1], trials, engine.Config{}, engine.StreamConfig{})
 	for _, workers := range []int{1, 2, 8} {
-		sums, err := engine.RunGridStream(cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
+		sums, err := engine.RunGridStreamFromContext(context.Background(), cells, trials, engine.Config{Workers: workers},
+			engine.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(sums[0], standaloneStatic) {
-			t.Fatalf("workers=%d static cell differs from standalone RunStream", workers)
+			t.Fatalf("workers=%d static cell differs from the cell run alone", workers)
 		}
 		if !reflect.DeepEqual(sums[1], standaloneDyn) {
-			t.Fatalf("workers=%d dynamic cell differs from standalone RunStreamSchedule", workers)
+			t.Fatalf("workers=%d dynamic cell differs from the cell run alone", workers)
 		}
 	}
 	// The static and dynamic cells genuinely differ (the schedule is doing

@@ -12,8 +12,12 @@
 //  2. trial i's result is written to slot i of a preallocated result slice,
 //     so the output order is the input order no matter which worker ran it.
 //
-// The experiment harness (internal/expt), the public dualgraph.RunMany API,
-// and both CLIs are built on this package.
+// There is one way to run each kind of work: MapContext (and RunMany, its
+// trial-runner instance) materializes one result per index;
+// RunGridStreamFromContext streams any number of cells into mergeable
+// summaries and resumes from checkpointed shards (a single scenario is a
+// one-cell grid, a fresh run passes a nil seed); FoldShardContext folds one
+// (cell, shard) unit for a remote worker.
 package engine
 
 import (
@@ -28,14 +32,10 @@ import (
 )
 
 // Config parameterizes the worker pool. The zero value is ready to use: one
-// worker per logical CPU and an automatically sized work batch.
+// worker per logical CPU.
 type Config struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Batch is the number of consecutive trial indices a worker claims at a
-	// time; <= 0 picks a size that balances queue contention against load
-	// balancing. Batch size never affects results, only scheduling.
-	Batch int
 }
 
 func (c Config) workers() int {
@@ -43,22 +43,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) batch(n, workers int) int {
-	if c.Batch > 0 {
-		return c.Batch
-	}
-	// Aim for ~8 batches per worker so slow trials rebalance, capped to keep
-	// the atomic counter cold on large trial counts.
-	b := n / (workers * 8)
-	if b < 1 {
-		b = 1
-	}
-	if b > 64 {
-		b = 64
-	}
-	return b
 }
 
 // SeedFor derives the RNG seed of one trial as a SplitMix64-style mix of
@@ -116,74 +100,42 @@ func MapContext[T any](ctx context.Context, n int, cfg Config, fn func(trial int
 	if n == 0 {
 		return []T{}, nil
 	}
-	workers := cfg.workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(cfg.workers(), n)
+	// Workers claim batches of consecutive indices: ~8 batches per worker
+	// so slow trials rebalance, capped to keep the atomic counter cold on
+	// large trial counts. The batch size never affects results.
+	batch := min(max(n/(workers*8), 1), 64)
 	results := make([]T, n)
-	if workers == 1 {
-		// Sequential fast path: no goroutines, no atomics; identical results
-		// by construction. Cancellation is checked per batch, mirroring the
-		// granularity of the pooled path.
-		batch := cfg.batch(n, workers)
-		for lo := 0; lo < n; lo += batch {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("engine: %w", err)
-			}
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				r, err := fn(i)
-				if err != nil {
-					return nil, fmt.Errorf("engine: trial %d: %w", i, err)
-				}
-				results[i] = r
-			}
-		}
-		return results, nil
-	}
-
-	batch := cfg.batch(n, workers)
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
 		firstEr trialError
-		wg      sync.WaitGroup
 	)
 	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lo := int(next.Add(int64(batch))) - batch
-				if lo >= n {
-					return
-				}
-				hi := lo + batch
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					r, err := fn(i)
-					if err != nil {
-						firstEr.record(i, err)
-						failed.Store(true)
-						break
-					}
-					results[i] = r
-				}
+	work := func() {
+		for !failed.Load() {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}()
+			lo := int(next.Add(int64(batch))) - batch
+			if lo >= n {
+				return
+			}
+			hi := min(lo+batch, n)
+			for i := lo; i < hi; i++ {
+				r, err := fn(i)
+				if err != nil {
+					firstEr.record(i, err)
+					failed.Store(true)
+					break
+				}
+				results[i] = r
+			}
+		}
 	}
-	wg.Wait()
+	runPool(workers, work)
 	if err := firstEr.get(); err != nil {
 		return nil, fmt.Errorf("engine: trial %d: %w", firstEr.index, err)
 	}
@@ -193,17 +145,38 @@ func MapContext[T any](ctx context.Context, n int, cfg Config, fn func(trial int
 	return results, nil
 }
 
-// Map is MapContext without cancellation, kept as the compatibility entry
-// point for callers that predate the context-first API.
-func Map[T any](n int, cfg Config, fn func(trial int) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), n, cfg, fn)
+// runPool runs work on `workers` goroutines and waits for all of them. A
+// pool of one runs work inline, so the sequential case is the same claim
+// loop with no goroutine or scheduling of its own.
+func runPool(workers int, work func()) {
+	if workers == 1 {
+		work()
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 }
 
 // Trial is one fully specified simulation: a network, an algorithm, an
-// adversary, and a sim configuration (including its own seed). Sched, when
+// adversary, and a sim configuration (including its base seed). Sched, when
 // set, makes the trial dynamic: the run executes on the schedule's epoch
 // sequence instead of the fixed Net (which then only documents the base
 // topology the schedule was built over).
+//
+// Run i of a trial uses sim seed SeedFor(Cfg.Seed, i), and sim.RunDynamic
+// derives every epoch's randomness from that seed alone (graph.EpochSeed),
+// so dynamic sweeps are bit-identical at any worker count for the same
+// reason static ones are. Algorithms, adversaries and schedules are shared
+// across concurrently running trials and must therefore be stateless
+// factories with concurrency-safe Epoch calls, which all the built-in ones
+// are.
 type Trial struct {
 	Net   *graph.Dual
 	Sched graph.Schedule
@@ -212,35 +185,25 @@ type Trial struct {
 	Cfg   sim.Config
 }
 
-// RunTrialsContext executes heterogeneous trials across the pool and returns
-// their results in input order. Each trial uses exactly the seed in its own
-// sim.Config. Algorithms and adversaries may be shared between trials and
-// must therefore be stateless factories, which all the built-in ones are.
-// Cancellation follows MapContext's batch-granularity contract.
-func RunTrialsContext(ctx context.Context, trials []Trial, cfg Config) ([]*sim.Result, error) {
-	return MapContext(ctx, len(trials), cfg, func(i int) (*sim.Result, error) {
-		t := trials[i]
-		return sim.RunDynamic(t.schedule(), t.Alg, t.Adv, t.Cfg)
-	})
+// runner resolves the trial's schedule once and returns the function that
+// executes its i-th run — the one place the per-trial seed rule lives.
+func (t Trial) runner() func(i int) (*sim.Result, error) {
+	sched := t.Sched
+	if sched == nil {
+		sched = graph.Static(t.Net)
+	}
+	return func(i int) (*sim.Result, error) {
+		c := t.Cfg
+		c.Seed = SeedFor(t.Cfg.Seed, i)
+		return sim.RunDynamic(sched, t.Alg, t.Adv, c)
+	}
 }
 
-// RunTrials is RunTrialsContext without cancellation (compatibility entry
-// point).
-func RunTrials(trials []Trial, cfg Config) ([]*sim.Result, error) {
-	return RunTrialsContext(context.Background(), trials, cfg)
-}
-
-// RunManyContext executes trials independent runs of one (net, alg, adv,
-// simCfg) combination. Trial i runs with sim seed SeedFor(simCfg.Seed, i),
-// so a fixed simCfg.Seed yields bit-identical results at any worker count.
-// It is exactly RunManyScheduleContext over a static schedule, mirroring how
-// sim.Run relates to sim.RunDynamic.
-func RunManyContext(ctx context.Context, net *graph.Dual, alg sim.Algorithm, adv sim.Adversary, simCfg sim.Config, trials int, cfg Config) ([]*sim.Result, error) {
-	return RunManyScheduleContext(ctx, graph.Static(net), alg, adv, simCfg, trials, cfg)
-}
-
-// RunMany is RunManyContext without cancellation (compatibility entry
-// point).
-func RunMany(net *graph.Dual, alg sim.Algorithm, adv sim.Adversary, simCfg sim.Config, trials int, cfg Config) ([]*sim.Result, error) {
-	return RunManyContext(context.Background(), net, alg, adv, simCfg, trials, cfg)
+// RunMany executes `trials` independent runs of t across the pool and
+// returns their results in trial order: run i uses sim seed
+// SeedFor(t.Cfg.Seed, i), so a fixed seed yields bit-identical results at
+// any worker count. Cancellation follows MapContext's batch-granularity
+// contract.
+func RunMany(ctx context.Context, t Trial, trials int, cfg Config) ([]*sim.Result, error) {
+	return MapContext(ctx, trials, cfg, t.runner())
 }

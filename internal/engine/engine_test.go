@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -56,7 +57,7 @@ func TestSeedForDecorrelatesBaseSeeds(t *testing.T) {
 
 func TestMapReturnsResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 32} {
-		res, err := engine.Map(100, engine.Config{Workers: workers}, func(i int) (int, error) {
+		res, err := engine.MapContext(context.Background(), 100, engine.Config{Workers: workers}, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -71,14 +72,14 @@ func TestMapReturnsResultsInIndexOrder(t *testing.T) {
 }
 
 func TestMapZeroTrials(t *testing.T) {
-	res, err := engine.Map(0, engine.Config{}, func(int) (int, error) { return 0, nil })
+	res, err := engine.MapContext(context.Background(), 0, engine.Config{}, func(int) (int, error) { return 0, nil })
 	if err != nil || len(res) != 0 {
 		t.Fatalf("zero trials: res=%v err=%v", res, err)
 	}
 }
 
 func TestMapNegativeTrials(t *testing.T) {
-	if _, err := engine.Map(-1, engine.Config{}, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, err := engine.MapContext(context.Background(), -1, engine.Config{}, func(int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative trial count must error")
 	}
 }
@@ -89,7 +90,7 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	// Several trials fail; the reported error must be trial 13's regardless
 	// of worker count or scheduling.
 	for _, workers := range []int{1, 2, 8} {
-		_, err := engine.Map(64, engine.Config{Workers: workers, Batch: 1}, func(i int) (int, error) {
+		_, err := engine.MapContext(context.Background(), 64, engine.Config{Workers: workers}, func(i int) (int, error) {
 			if i == 13 || i == 40 || i == 63 {
 				return 0, fmt.Errorf("%w at %d", errBoom, i)
 			}
@@ -106,7 +107,7 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 
 func TestMapStopsClaimingAfterError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := engine.Map(10000, engine.Config{Workers: 4, Batch: 1}, func(i int) (int, error) {
+	_, err := engine.MapContext(context.Background(), 10000, engine.Config{Workers: 4}, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errBoom
@@ -142,12 +143,13 @@ func TestRunManyDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 321, RecordSenders: true}
+	cell := engine.Trial{Net: d, Alg: alg, Adv: adv,
+		Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 321, RecordSenders: true}}
 	const trials = 24
 
 	var ref []*sim.Result
 	for _, workers := range []int{1, 2, 3, 8, 24} {
-		res, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{Workers: workers})
+		res, err := engine.RunMany(context.Background(), cell, trials, engine.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +193,8 @@ func TestRunManyMatchesSequentialSimRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{Workers: 4})
+	got, err := engine.RunMany(context.Background(), engine.Trial{Net: d, Alg: alg, Adv: adv, Cfg: simCfg},
+		trials, engine.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +203,8 @@ func TestRunManyMatchesSequentialSimRuns(t *testing.T) {
 	}
 }
 
+// TestRunTrialsHeterogeneous: cells of one grid run their own networks,
+// algorithms, adversaries and configs.
 func TestRunTrialsHeterogeneous(t *testing.T) {
 	line, err := graph.Line(6)
 	if err != nil {
@@ -209,50 +214,25 @@ func TestRunTrialsHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trials := []engine.Trial{
+	cells := []engine.Trial{
 		{Net: line, Alg: core.NewRoundRobin(), Adv: adversary.Benign{},
 			Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}},
 		{Net: clique, Alg: core.NewRoundRobin(), Adv: adversary.GreedyCollider{},
 			Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}},
 	}
-	res, err := engine.RunTrials(trials, engine.Config{Workers: 2})
+	sums, err := engine.RunGridStreamFromContext(context.Background(), cells, 1, engine.Config{Workers: 2},
+		engine.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 {
-		t.Fatalf("got %d results", len(res))
+	if len(sums) != 2 {
+		t.Fatalf("got %d summaries", len(sums))
 	}
-	if !res[0].Completed || res[0].Rounds != 5 {
-		t.Fatalf("round robin on a 6-line: %+v, want completion in 5 rounds", res[0])
+	if rounds, _ := sums[0].Rounds.Max(); sums[0].Completed != 1 || rounds != 5 {
+		t.Fatalf("round robin on a 6-line: %d/%d completed in %v rounds, want completion in 5 rounds",
+			sums[0].Completed, sums[0].Trials, rounds)
 	}
-	if !res[1].Completed {
+	if sums[1].Completed != 1 {
 		t.Fatal("round robin on the clique-bridge must complete")
-	}
-}
-
-func TestMapBatchSizeDoesNotAffectResults(t *testing.T) {
-	d, err := graph.CliqueBridge(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg, err := core.NewHarmonicForN(11, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 9}
-	var ref []*sim.Result
-	for _, batch := range []int{0, 1, 3, 100} {
-		res, err := engine.RunMany(d, alg, adversary.GreedyCollider{}, simCfg, 12,
-			engine.Config{Workers: 3, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(res, ref) {
-			t.Fatalf("batch=%d changed results", batch)
-		}
 	}
 }

@@ -8,49 +8,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"dualgraph/internal/metrics"
-	"dualgraph/internal/sim"
 	"dualgraph/internal/stats"
 )
-
-// RunGridStreamContext executes trials independent runs of every cell,
-// folding each cell's results into its own streaming TrialSummary, and
-// returns the summaries indexed like cells. Cell c's trial i runs with sim
-// seed SeedFor(cells[c].Cfg.Seed, i) — exactly the derivation RunStream
-// applies to a single cell — and each cell's shard accumulators are built
-// over the same shard partition and merged in the same shard order, so
-// every returned summary is bit-identical to RunStream of that cell alone,
-// at any worker count of either call.
-//
-// Cells with a Sched run dynamically (sim.RunDynamic) under the same
-// derivation — epoch randomness is a pure function of each trial's seed —
-// so dynamic grids keep the bit-identical-at-any-worker-count guarantee.
-//
-// Work is fanned out at (cell, shard) granularity over one pool: with C
-// cells and S = Shards(trials) shards there are C·S independent units, so
-// the pool stays busy whether the grid is wide (many cells) or deep (many
-// trials). On error the lowest (cell, trial) pair in lexicographic order is
-// reported.
-//
-// onCell, when non-nil, is invoked once per cell the moment the cell's last
-// shard finishes and its shards have been merged — i.e. while other cells
-// are still running — with the cell index and its final summary. Calls come
-// from worker goroutines, possibly concurrently for different cells and in
-// nondeterministic cell order; each cell's summary value is nevertheless
-// deterministic. Cells that never complete (error or cancellation) get no
-// call, so everything a caller saw through onCell is final and would be
-// byte-identical in an uninterrupted run.
-//
-// Cancelling ctx stops the pool at (cell, shard) granularity: claimed
-// shards finish, nothing new is claimed, and the call returns ctx.Err()
-// (wrapped). Completed cells have already been delivered through onCell.
-func RunGridStreamContext(ctx context.Context, cells []Trial, trials int, cfg Config, sc StreamConfig,
-	onCell func(cell int, sum *TrialSummary)) ([]*TrialSummary, error) {
-	return RunGridStreamFromContext(ctx, cells, trials, cfg, sc, nil, nil, onCell)
-}
 
 // ShardKey names one (cell, shard) work unit of a grid run: cell indexes the
 // cells slice, shard indexes the Shards(trials) partition. It is the key of
@@ -64,8 +26,7 @@ type ShardKey struct {
 // range under ShardRange, and the accumulator folded over exactly those
 // trials. onShard callbacks receive it the moment the shard completes; the
 // Summary must be consumed (typically serialized) during the callback,
-// because the engine may later mutate it as a merge destination. The
-// single-cell stream entry points report Cell as 0.
+// because the engine may later mutate it as a merge destination.
 type ShardState struct {
 	Cell    int
 	Shard   int
@@ -77,20 +38,48 @@ type ShardState struct {
 // Key returns the shard's ShardKey.
 func (s ShardState) Key() ShardKey { return ShardKey{Cell: s.Cell, Shard: s.Shard} }
 
-// RunGridStreamFromContext is RunGridStreamContext with checkpoint hooks.
-// Units listed in seed are taken as already reduced: their accumulators
-// enter the cell's shard-order merge directly and their trials never run.
-// onShard, when non-nil, observes every freshly completed unit (never a
-// seeded one) from worker goroutines, possibly concurrently; the callback
-// must synchronize its own state. Because the shard partition and the merge
-// order are pure functions of the trial count, the returned summaries are
-// bit-identical whether a unit was just folded or restored from a serialized
-// checkpoint — at any worker count on either side of the interruption.
+// RunGridStreamFromContext executes trials independent runs of every cell,
+// folding each cell's results into its own streaming TrialSummary, and
+// returns the summaries indexed like cells. It is the one streaming path: a
+// single scenario is a one-cell grid, and a fresh (non-resumed) run passes a
+// nil seed. Cell c's trial i runs with sim seed SeedFor(cells[c].Cfg.Seed, i)
+// — the same rule RunMany and FoldShardContext apply — and each cell's
+// shard accumulators are built over the fixed ShardRange partition and
+// merged in shard order, so every returned summary is bit-identical to the
+// same cell run alone, at any worker count of either call. Cells with a
+// Sched run dynamically under the same derivation.
 //
-// Cells whose every shard is seeded are merged and delivered through onCell
-// before the pool starts, in cell-index order. Seeded accumulators become
-// part of the reduction: the caller must not retain or mutate them after the
-// call starts.
+// Work is fanned out at (cell, shard) granularity over one pool: with C
+// cells and S = Shards(trials) shards there are C·S independent units, so
+// the pool stays busy whether the grid is wide (many cells) or deep (many
+// trials). On error the lowest (cell, trial) pair in lexicographic order is
+// reported as "engine: cell c trial i".
+//
+// onCell, when non-nil, is invoked once per cell the moment the cell's last
+// shard finishes and its shards have been merged — i.e. while other cells
+// are still running — with the cell index and its final summary. Calls come
+// from worker goroutines, possibly concurrently for different cells and in
+// nondeterministic cell order; each cell's summary value is nevertheless
+// deterministic. Cells that never complete (error or cancellation) get no
+// call, so everything a caller saw through onCell is final and would be
+// byte-identical in an uninterrupted run.
+//
+// Cancelling ctx stops the pool at (cell, shard) granularity: claimed
+// shards finish, nothing new is claimed, and the call returns ctx.Err()
+// (wrapped). Completed cells have already been delivered through onCell.
+//
+// Checkpoint hooks: units listed in seed are taken as already reduced —
+// their accumulators enter the cell's shard-order merge directly and their
+// trials never run. onShard, when non-nil, observes every freshly completed
+// unit (never a seeded one) from worker goroutines, possibly concurrently;
+// the callback must synchronize its own state. Because the shard partition
+// and the merge order are pure functions of the trial count, the returned
+// summaries are bit-identical whether a unit was just folded or restored
+// from a serialized checkpoint — at any worker count on either side of the
+// interruption. Cells whose every shard is seeded are merged and delivered
+// through onCell before the pool starts, in cell-index order. Seeded
+// accumulators become part of the reduction: the caller must not retain or
+// mutate them after the call starts.
 func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cfg Config, sc StreamConfig,
 	seed map[ShardKey]*TrialSummary, onShard func(ShardState),
 	onCell func(cell int, sum *TrialSummary)) ([]*TrialSummary, error) {
@@ -155,10 +144,7 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 		}
 	}
 	var mergeEr trialError
-	workers := cfg.workers()
-	if workers > units {
-		workers = units
-	}
+	workers := min(cfg.workers(), units)
 
 	// Instrumentation is observe-only and recorded at unit granularity; the
 	// gate is read once so a mid-run toggle cannot unbalance the pending
@@ -178,8 +164,8 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 		failed  atomic.Bool
 		firstEr trialError
 	)
-	// One code path at any worker count (same rationale as Reduce): the
-	// sequential case is the same unit walk on a pool of one.
+	// One code path at any worker count: the sequential case is the same
+	// unit walk on a pool of one, so fold/merge rounding is identical.
 	done := ctx.Done()
 	work := func() {
 		clock := newWorkerClock(mOn)
@@ -200,16 +186,13 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 				continue
 			}
 			c, s := u/shards, u%shards
-			cell := cells[c]
-			sched := cell.schedule()
-			lo, hi := shardBounds(trials, shards, s)
+			run := cells[c].runner()
+			lo, hi := ShardRange(trials, s)
 			acc := sc.newSummary()
 			shardErr := false
 			clock.beginUnit()
 			for i := lo; i < hi; i++ {
-				simCfg := cell.Cfg
-				simCfg.Seed = SeedFor(cell.Cfg.Seed, i)
-				res, err := sim.RunDynamic(sched, cell.Alg, cell.Adv, simCfg)
+				res, err := run(i)
 				if err == nil {
 					err = acc.fold(res)
 				}
@@ -239,10 +222,9 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 				onShard(ShardState{Cell: c, Shard: s, TrialLo: lo, TrialHi: hi, Summary: acc})
 			}
 			if remaining[c].Add(-1) == 0 {
-				// Last shard of the cell: merge in shard-index order — the
-				// same order the post-hoc merge used to run in, so the
-				// summary is byte-identical to the cell's standalone
-				// RunStream — and hand the finished cell to the caller.
+				// Last shard of the cell: merge in shard-index order, so
+				// the summary is byte-identical to the cell run alone, and
+				// hand the finished cell to the caller.
 				dst := accs[c*shards]
 				for t := 1; t < shards; t++ {
 					if err := dst.Merge(accs[c*shards+t]); err != nil {
@@ -261,19 +243,7 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 			}
 		}
 	}
-	if workers == 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
+	runPool(workers, work)
 	if mOn {
 		// Units abandoned by error or cancellation leave the queue with the
 		// run; without this the pending gauge would leak on every failure.
@@ -292,9 +262,45 @@ func RunGridStreamFromContext(ctx context.Context, cells []Trial, trials int, cf
 	return summaries, nil
 }
 
-// RunGridStream is RunGridStreamContext without cancellation or per-cell
-// delivery, kept as the compatibility entry point for callers that predate
-// the context-first API.
-func RunGridStream(cells []Trial, trials int, cfg Config, sc StreamConfig) ([]*TrialSummary, error) {
-	return RunGridStreamContext(context.Background(), cells, trials, cfg, sc, nil)
+// FoldShardContext executes the trials [lo, hi) of one cell sequentially in
+// index order, folding each result into a fresh summary — exactly the
+// per-shard inner loop of RunGridStreamFromContext, with the same per-trial
+// seed rule. A remote worker that runs a claimed (cell, shard) unit through
+// FoldShardContext therefore produces an accumulator bit-identical to the
+// one the local engine would have built, which is what makes
+// coordinator/worker grids byte-equivalent to single-process runs. ctx is
+// consulted between trials; cancellation abandons the shard (a claimed unit
+// either completes or reports nothing).
+func FoldShardContext(ctx context.Context, t Trial, lo, hi int, sc StreamConfig) (*TrialSummary, error) {
+	if lo < 0 || hi < lo {
+		return nil, fmt.Errorf("engine: bad trial range [%d, %d)", lo, hi)
+	}
+	if _, err := stats.NewStream(sc.quantiles(), sc.ExactK); err != nil {
+		return nil, err
+	}
+	run := t.runner()
+	acc := sc.newSummary()
+	clock := newWorkerClock(metrics.Enabled())
+	defer clock.drain()
+	clock.beginUnit()
+	for i := lo; i < hi; i++ {
+		if err := ctx.Err(); err != nil {
+			clock.abortUnit()
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		res, err := run(i)
+		if err == nil {
+			err = acc.fold(res)
+		}
+		if err != nil {
+			clock.abortUnit()
+			return nil, fmt.Errorf("engine: trial %d: %w", i, err)
+		}
+	}
+	clock.endUnit()
+	if clock.on {
+		mTrialsTotal.Add(int64(hi - lo))
+		mShardsCompleted.Inc()
+	}
+	return acc, nil
 }

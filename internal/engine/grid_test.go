@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -41,24 +42,24 @@ func gridCells(t testing.TB) []engine.Trial {
 	return cells
 }
 
+// runGrid runs a fresh grid with no checkpoint hooks or cell delivery.
+func runGrid(cells []engine.Trial, trials int, ec engine.Config) ([]*engine.TrialSummary, error) {
+	return engine.RunGridStreamFromContext(context.Background(), cells, trials, ec, engine.StreamConfig{}, nil, nil, nil)
+}
+
 // TestGridStreamMatchesPerCellRunStream is the grid determinism contract:
 // every cell summary must be bit-identical (including P² marker state, via
-// DeepEqual) to running that cell alone through RunStream, and identical at
-// any worker count of the grid call.
+// DeepEqual) to running that cell alone as a one-cell grid, and identical
+// at any worker count of the grid call.
 func TestGridStreamMatchesPerCellRunStream(t *testing.T) {
 	cells := gridCells(t)
 	const trials = 12
 	var ref []*engine.TrialSummary
 	for _, cell := range cells {
-		sum, err := engine.RunStream(cell.Net, cell.Alg, cell.Adv, cell.Cfg, trials,
-			engine.Config{Workers: 1}, engine.StreamConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref = append(ref, sum)
+		ref = append(ref, streamOne(t, cell, trials, engine.Config{Workers: 1}, engine.StreamConfig{}))
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got, err := engine.RunGridStream(cells, trials, engine.Config{Workers: workers}, engine.StreamConfig{})
+		got, err := runGrid(cells, trials, engine.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,28 +68,33 @@ func TestGridStreamMatchesPerCellRunStream(t *testing.T) {
 		}
 		for c := range cells {
 			if !reflect.DeepEqual(got[c], ref[c]) {
-				t.Errorf("workers=%d cell %d: grid summary differs from standalone RunStream", workers, c)
+				t.Errorf("workers=%d cell %d: grid summary differs from the cell run alone", workers, c)
 			}
 		}
 	}
 }
 
 func TestGridStreamEdgeCases(t *testing.T) {
-	if sums, err := engine.RunGridStream(nil, 5, engine.Config{}, engine.StreamConfig{}); err != nil || len(sums) != 0 {
+	if sums, err := runGrid(nil, 5, engine.Config{}); err != nil || len(sums) != 0 {
 		t.Fatalf("empty grid: sums=%v err=%v", sums, err)
 	}
-	cells := gridCells(t)
-	sums, err := engine.RunGridStream(cells, 0, engine.Config{}, engine.StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, s := range sums {
-		if s == nil || s.Trials != 0 {
-			t.Fatalf("cell %d: zero-trial summary = %+v", c, s)
+	all := gridCells(t)
+	for _, cells := range [][]engine.Trial{all, all[:1]} {
+		sums, err := runGrid(cells, 0, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := engine.RunGridStream(cells, -1, engine.Config{}, engine.StreamConfig{}); err == nil {
-		t.Fatal("negative trials must fail")
+		if len(sums) != len(cells) {
+			t.Fatalf("%d cells: %d zero-trial summaries", len(cells), len(sums))
+		}
+		for c, s := range sums {
+			if s == nil || s.Trials != 0 {
+				t.Fatalf("cell %d: zero-trial summary = %+v", c, s)
+			}
+		}
+		if _, err := runGrid(cells, -1, engine.Config{}); err == nil {
+			t.Fatalf("%d cells: negative trials must fail", len(cells))
+		}
 	}
 }
 
@@ -116,12 +122,16 @@ func TestGridStreamReportsLowestCellError(t *testing.T) {
 		Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}}
 	bad := good
 	bad.Adv = badAdv{}
-	_, err = engine.RunGridStream([]engine.Trial{good, bad, bad}, 4, engine.Config{Workers: 4}, engine.StreamConfig{})
-	if err == nil || !errors.Is(err, sim.ErrBadDelivery) {
-		t.Fatalf("err = %v, want ErrBadDelivery", err)
-	}
-	const want = "cell 1 trial 0"
-	if got := err.Error(); !strings.Contains(got, want) {
-		t.Fatalf("err = %q, want it to name %q", got, want)
+	for want, cells := range map[string][]engine.Trial{
+		"cell 1 trial 0": {good, bad, bad},
+		"cell 0 trial 0": {bad},
+	} {
+		_, err = runGrid(cells, 4, engine.Config{Workers: 4})
+		if err == nil || !errors.Is(err, sim.ErrBadDelivery) {
+			t.Fatalf("err = %v, want ErrBadDelivery", err)
+		}
+		if got := err.Error(); !strings.Contains(got, want) {
+			t.Fatalf("err = %q, want it to name %q", got, want)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Engine instrumentation: process-wide instruments fed by the streaming
-// reducers (Reduce, the grid runner, and the worker-mode shard fold). All
+// paths (the grid runner and the worker-mode shard fold). All
 // recording happens at shard granularity — never inside the per-trial or
 // per-round hot loops — so the cost is a handful of atomic operations per
 // completed (cell, shard) unit, amortized over thousands of simulated

@@ -9,22 +9,34 @@ import (
 	"errors"
 	"testing"
 
+	"dualgraph/internal/adversary"
+	"dualgraph/internal/core"
+	"dualgraph/internal/graph"
 	"dualgraph/internal/metrics"
+	"dualgraph/internal/sim"
 )
 
-// reduceSum runs a trivial integer reduction of n trials and returns it.
-func reduceSum(t *testing.T, n, workers int, seed map[int]*int) int {
+// metricsCell is a cheap deterministic cell: round robin on a 6-line.
+func metricsCell(t *testing.T) Trial {
 	t.Helper()
-	acc, err := ReduceFromContext(context.Background(), n, Config{Workers: workers},
-		seed, nil,
-		func(trial int) (int, error) { return trial, nil },
-		func() *int { return new(int) },
-		func(acc *int, _ int, v int) error { *acc += v; return nil },
-		func(dst, src *int) error { *dst += *src; return nil })
+	line, err := graph.Line(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *acc
+	return Trial{Net: line, Alg: core.NewRoundRobin(), Adv: adversary.Benign{},
+		Cfg: sim.Config{Rule: sim.CR3, Start: sim.SyncStart, Seed: 1}}
+}
+
+// streamCell runs n trials of cell as a one-cell grid, restoring the seeded
+// shards, and returns the cell's trial count.
+func streamCell(t *testing.T, cell Trial, n, workers int, seed map[ShardKey]*TrialSummary) int64 {
+	t.Helper()
+	sums, err := RunGridStreamFromContext(context.Background(), []Trial{cell}, n, Config{Workers: workers},
+		StreamConfig{}, seed, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums[0].Trials
 }
 
 func TestReduceMetricsDeltas(t *testing.T) {
@@ -36,8 +48,8 @@ func TestReduceMetricsDeltas(t *testing.T) {
 	baseBusy := mWorkerBusy.Value()
 	baseDur := mShardDuration.Count()
 
-	if got := reduceSum(t, n, 4, nil); got != n*(n-1)/2 {
-		t.Fatalf("sum = %d", got)
+	if got := streamCell(t, metricsCell(t), n, 4, nil); got != n {
+		t.Fatalf("folded %d trials, want %d", got, n)
 	}
 
 	if d := mTrialsTotal.Value() - baseTrials; d != n {
@@ -62,22 +74,23 @@ func TestReduceMetricsDeltas(t *testing.T) {
 
 func TestReduceMetricsSeededSkips(t *testing.T) {
 	const n = 50
-	// Seed shards 0..9 with their true partial sums so the result is intact.
-	seed := make(map[int]*int)
+	// Seed shards 0..9 with their true accumulators so the result is intact.
+	cell := metricsCell(t)
+	seed := make(map[ShardKey]*TrialSummary)
 	for s := 0; s < 10; s++ {
 		lo, hi := ShardRange(n, s)
-		v := 0
-		for i := lo; i < hi; i++ {
-			v += i
+		acc, err := FoldShardContext(context.Background(), cell, lo, hi, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seed[s] = &v
+		seed[ShardKey{Shard: s}] = acc
 	}
 	baseTrials := mTrialsTotal.Value()
 	baseSeeded := mShardsSeeded.Value()
 	basePending := mUnitsPending.Value()
 
-	if got := reduceSum(t, n, 2, seed); got != n*(n-1)/2 {
-		t.Fatalf("sum = %d", got)
+	if got := streamCell(t, cell, n, 2, seed); got != n {
+		t.Fatalf("folded %d trials, want %d", got, n)
 	}
 	// Shards here are one trial wide (n < cap), so 10 seeded shards skip
 	// exactly 10 trials.
@@ -94,18 +107,11 @@ func TestReduceMetricsSeededSkips(t *testing.T) {
 
 func TestReduceMetricsPendingDrainsOnError(t *testing.T) {
 	basePending := mUnitsPending.Value()
-	boom := errors.New("boom")
-	_, err := ReduceContext(context.Background(), 64, Config{Workers: 4},
-		func(trial int) (int, error) {
-			if trial == 17 {
-				return 0, boom
-			}
-			return trial, nil
-		},
-		func() *int { return new(int) },
-		func(acc *int, _ int, v int) error { *acc += v; return nil },
-		func(dst, src *int) error { *dst += *src; return nil })
-	if !errors.Is(err, boom) {
+	cell := metricsCell(t)
+	cell.Sched = failAt(cell, 17)
+	_, err := RunGridStreamFromContext(context.Background(), []Trial{cell}, 64, Config{Workers: 4},
+		StreamConfig{}, nil, nil, nil)
+	if !errors.Is(err, errEpoch) {
 		t.Fatalf("err = %v", err)
 	}
 	// Abandoned units must leave the queue with the failed run.
@@ -121,8 +127,8 @@ func TestReduceMetricsGateOff(t *testing.T) {
 	baseShards := mShardsCompleted.Value()
 	basePending := mUnitsPending.Value()
 
-	if got := reduceSum(t, 40, 4, nil); got != 40*39/2 {
-		t.Fatalf("sum = %d", got)
+	if got := streamCell(t, metricsCell(t), 40, 4, nil); got != 40 {
+		t.Fatalf("folded %d trials, want 40", got)
 	}
 	if mTrialsTotal.Value() != baseTrials || mShardsCompleted.Value() != baseShards {
 		t.Errorf("counters advanced with the gate off")

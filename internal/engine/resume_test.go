@@ -120,48 +120,23 @@ func TestGridStreamFromSeededMatchesFull(t *testing.T) {
 	}
 }
 
-// TestRunStreamFromSeededMatchesFull covers the single-cell entry point the
-// same way: seed half the shards, expect bit-identical summaries.
+// TestRunStreamFromSeededMatchesFull covers the single-cell stream — a
+// one-cell grid — the same way: seed half the shards, expect bit-identical
+// summaries.
 func TestRunStreamFromSeededMatchesFull(t *testing.T) {
-	cell := gridCells(t)[0]
+	cells := gridCells(t)[:1]
 	const trials = 30
 	sc := engine.StreamConfig{ExactK: 8}
-	var mu sync.Mutex
-	blobs := map[int][]byte{}
-	want, err := engine.RunStreamFromContext(context.Background(), cell.Net, cell.Alg, cell.Adv, cell.Cfg,
-		trials, engine.Config{Workers: 1}, sc, nil,
-		func(st engine.ShardState) {
-			blob, err := st.Summary.MarshalBinary()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			blobs[st.Shard] = blob
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	blobs, want := captureShards(t, cells, trials, sc)
 	for _, workers := range []int{1, 2, 8} {
-		seedCopy := map[int]*engine.TrialSummary{}
-		for s, blob := range blobs {
-			if s%2 != 0 {
-				continue
-			}
-			var sum engine.TrialSummary
-			if err := sum.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-			seedCopy[s] = &sum
-		}
-		got, err := engine.RunStreamFromContext(context.Background(), cell.Net, cell.Alg, cell.Adv, cell.Cfg,
-			trials, engine.Config{Workers: workers}, sc, seedCopy, nil)
+		seed := seedFromBlobs(t, blobs, func(k engine.ShardKey) bool { return k.Shard%2 == 0 })
+		got, err := engine.RunGridStreamFromContext(context.Background(), cells, trials,
+			engine.Config{Workers: workers}, sc, seed, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		a, _ := want.MarshalBinary()
-		b, err := got.MarshalBinary()
+		a, _ := want[0].MarshalBinary()
+		b, err := got[0].MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +187,9 @@ func TestSeededUnitValidation(t *testing.T) {
 		engine.Config{}, sc, bad, nil, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if _, err := engine.RunStreamFromContext(context.Background(), cells[0].Net, cells[0].Alg, cells[0].Adv,
-		cells[0].Cfg, 10, engine.Config{}, sc, map[int]*engine.TrialSummary{-1: nil}, nil); err == nil {
+	bad = map[engine.ShardKey]*engine.TrialSummary{{Cell: 0, Shard: -1}: nil}
+	if _, err := engine.RunGridStreamFromContext(context.Background(), cells[:1], 10,
+		engine.Config{}, sc, bad, nil, nil); err == nil {
 		t.Fatal("negative stream shard accepted")
 	}
 }

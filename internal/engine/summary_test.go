@@ -1,12 +1,10 @@
 package engine_test
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"math"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"dualgraph/internal/adversary"
@@ -17,93 +15,35 @@ import (
 	"dualgraph/internal/stats"
 )
 
-// intSum is a trivial accumulator for exercising Reduce's plumbing.
-type intSum struct {
-	n   int
-	sum int64
+// streamOne runs trials of one cell through the streaming path: a
+// one-cell grid with no checkpoint seed.
+func streamOne(t testing.TB, cell engine.Trial, trials int, ec engine.Config, sc engine.StreamConfig) *engine.TrialSummary {
+	t.Helper()
+	sums, err := engine.RunGridStreamFromContext(context.Background(), []engine.Trial{cell}, trials, ec, sc, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums[0]
 }
 
-func reduceSum(n int, cfg engine.Config, fn func(int) (int64, error)) (*intSum, error) {
-	return engine.Reduce(n, cfg, fn,
-		func() *intSum { return &intSum{} },
-		func(a *intSum, _ int, v int64) error {
-			a.n++
-			a.sum += v
-			return nil
-		},
-		func(dst, src *intSum) error {
-			dst.n += src.n
-			dst.sum += src.sum
-			return nil
-		})
-}
-
-func TestReduceSumAnyWorkerCount(t *testing.T) {
-	const n = 10007 // prime, so shard blocks are uneven
-	var want int64
-	for i := 0; i < n; i++ {
-		want += int64(i) * int64(i)
+// runMany runs trials of one cell through the slice path.
+func runMany(t testing.TB, cell engine.Trial, trials int, ec engine.Config) []*sim.Result {
+	t.Helper()
+	results, err := engine.RunMany(context.Background(), cell, trials, ec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3, 8, 300} {
-		acc, err := reduceSum(n, engine.Config{Workers: workers}, func(i int) (int64, error) {
-			return int64(i) * int64(i), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc.n != n || acc.sum != want {
-			t.Fatalf("workers=%d: folded %d trials sum %d, want %d trials sum %d",
-				workers, acc.n, acc.sum, n, want)
-		}
-	}
+	return results
 }
 
 func TestReduceZeroAndNegativeTrials(t *testing.T) {
-	acc, err := reduceSum(0, engine.Config{}, func(int) (int64, error) { return 0, nil })
-	if err != nil || acc == nil || acc.n != 0 {
-		t.Fatalf("zero trials: acc=%+v err=%v, want fresh empty accumulator", acc, err)
+	cell := streamWorkload(t)
+	if sum := streamOne(t, cell, 0, engine.Config{}, engine.StreamConfig{}); sum == nil || sum.Trials != 0 {
+		t.Fatalf("zero trials: sum=%+v, want fresh empty summary", sum)
 	}
-	if _, err := reduceSum(-1, engine.Config{}, func(int) (int64, error) { return 0, nil }); err == nil {
+	if _, err := engine.RunGridStreamFromContext(context.Background(), []engine.Trial{cell}, -1,
+		engine.Config{}, engine.StreamConfig{}, nil, nil, nil); err == nil {
 		t.Fatal("negative trial count must error")
-	}
-}
-
-func TestReduceReportsLowestIndexError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		_, err := reduceSum(500, engine.Config{Workers: workers}, func(i int) (int64, error) {
-			if i == 77 || i == 300 || i == 499 {
-				return 0, fmt.Errorf("%w at %d", errBoom, i)
-			}
-			return 1, nil
-		})
-		if err == nil || !errors.Is(err, errBoom) {
-			t.Fatalf("workers=%d: want errBoom, got %v", workers, err)
-		}
-		if !strings.Contains(err.Error(), "trial 77") {
-			t.Fatalf("workers=%d: error %q must name the lowest failing trial", workers, err)
-		}
-	}
-}
-
-func TestReduceFoldErrorsPropagate(t *testing.T) {
-	_, err := engine.Reduce(100, engine.Config{Workers: 3},
-		func(i int) (float64, error) {
-			if i == 42 {
-				return math.NaN(), nil
-			}
-			return float64(i), nil
-		},
-		func() *stats.Stream {
-			s, _ := stats.NewStream(nil, 0)
-			return s
-		},
-		func(s *stats.Stream, _ int, v float64) error { return s.Add(v) },
-		func(dst, src *stats.Stream) error { return dst.Merge(src) })
-	if err == nil || !errors.Is(err, stats.ErrNaN) {
-		t.Fatalf("fold error must surface with its trial index, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "trial 42") {
-		t.Fatalf("error %q must name trial 42", err)
 	}
 }
 
@@ -116,8 +56,8 @@ func TestShardsPureFunctionOfN(t *testing.T) {
 	}
 }
 
-// streamWorkload is the randomized sweep used by the RunStream tests.
-func streamWorkload(t testing.TB) (*graph.Dual, sim.Algorithm, sim.Adversary, sim.Config) {
+// streamWorkload is the randomized cell used by the streaming tests.
+func streamWorkload(t testing.TB) engine.Trial {
 	t.Helper()
 	d, err := graph.CliqueBridge(15)
 	if err != nil {
@@ -131,25 +71,22 @@ func streamWorkload(t testing.TB) (*graph.Dual, sim.Algorithm, sim.Adversary, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, alg, adv, sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}
+	return engine.Trial{Net: d, Alg: alg, Adv: adv, Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}}
 }
 
-// TestRunStreamDeterministicAcrossWorkerCounts is the reducer's core
+// TestRunStreamDeterministicAcrossWorkerCounts is the streaming path's core
 // guarantee: the summary — including every floating-point bit of the
 // Welford moments and the P² marker states — is identical at any worker
 // count, because the trial→shard partition and the merge order are pure
 // functions of the trial count.
 func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
-	d, alg, adv, simCfg := streamWorkload(t)
+	cell := streamWorkload(t)
 	// 600 trials with ExactK 32 forces shard merges through every regime,
 	// including P² marker merges.
 	sc := engine.StreamConfig{ExactK: 32}
 	var ref *engine.TrialSummary
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		sum, err := engine.RunStream(d, alg, adv, simCfg, 600, engine.Config{Workers: workers}, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sum := streamOne(t, cell, 600, engine.Config{Workers: workers}, sc)
 		if ref == nil {
 			ref = sum
 			continue
@@ -165,16 +102,10 @@ func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
 // the mean up to rounding, and — while within the exact regime — the
 // quantiles must equal stats.Quantile over the materialized rounds.
 func TestRunStreamMatchesRunMany(t *testing.T) {
-	d, alg, adv, simCfg := streamWorkload(t)
+	cell := streamWorkload(t)
 	const trials = 300
-	results, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := engine.RunStream(d, alg, adv, simCfg, trials, engine.Config{}, engine.StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runMany(t, cell, trials, engine.Config{})
+	sum := streamOne(t, cell, trials, engine.Config{}, engine.StreamConfig{})
 
 	rounds := make([]float64, 0, trials)
 	var completed int64
@@ -219,17 +150,10 @@ func TestRunStreamP2WithinToleranceOfSlicePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-checking thousands of trials is slow")
 	}
-	d, alg, adv, simCfg := streamWorkload(t)
+	cell := streamWorkload(t)
 	const trials = 4000
-	results, err := engine.RunMany(d, alg, adv, simCfg, trials, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := engine.StreamConfig{ExactK: 256}
-	sum, err := engine.RunStream(d, alg, adv, simCfg, trials, engine.Config{}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runMany(t, cell, trials, engine.Config{})
+	sum := streamOne(t, cell, trials, engine.Config{}, engine.StreamConfig{ExactK: 256})
 	if sum.Rounds.Exact() {
 		t.Fatal("4000 trials past ExactK=256 must have spilled")
 	}
@@ -261,4 +185,4 @@ func TestRunStreamP2WithinToleranceOfSlicePath(t *testing.T) {
 
 // The 100k-trial bounded-memory smoke lives in cmd/dgsim's test suite
 // (TestStreamSweepBoundedMemory), where it exercises this package's
-// RunStream end to end through the CLI path.
+// streaming path end to end through the CLI.

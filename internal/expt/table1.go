@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -28,7 +29,7 @@ func table1ClassicalRR() Experiment {
 			// Each cell is a declarative Scenario run on the Spec path; the
 			// registry resolves the same constructors the harness always
 			// used, so tables are byte-identical to the positional era.
-			results, err := engine.Map(len(sizes), cfg.Engine, func(i int) (*sim.Result, error) {
+			results, err := engine.MapContext(context.Background(), len(sizes), cfg.Engine, func(i int) (*sim.Result, error) {
 				scn, err := scenario(topo, sizes[i], "round-robin", "benign",
 					sim.CR3, sim.SyncStart, cfg.Seed)
 				if err != nil {
@@ -75,7 +76,7 @@ func table1DualStrongSelect() Experiment {
 		}
 		for _, topo := range []string{"clique-bridge", "complete-layered", "geometric"} {
 			sizes := sweepSizes(cfg.Quick)
-			rows, err := engine.Map(len(sizes), cfg.Engine, func(i int) (row, error) {
+			rows, err := engine.MapContext(context.Background(), len(sizes), cfg.Engine, func(i int) (row, error) {
 				scn, err := scenario(topo, sizes[i], "strong-select", "greedy",
 					sim.CR4, sim.AsyncStart, cfg.Seed)
 				if err != nil {
@@ -154,7 +155,7 @@ func table1Theorem2() Experiment {
 			}
 			jobs = append(jobs, job{n, core.NewRoundRobin()}, job{n, ss})
 		}
-		results, err := engine.Map(len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem2Result, error) {
+		results, err := engine.MapContext(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem2Result, error) {
 			return lowerbound.RunTheorem2Game(jobs[i].n, jobs[i].alg, 0)
 		})
 		if err != nil {
@@ -204,7 +205,7 @@ func table1Theorem12() Experiment {
 				jobs = append(jobs, job{n, ss})
 			}
 		}
-		results, err := engine.Map(len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem12Result, error) {
+		results, err := engine.MapContext(context.Background(), len(jobs), cfg.Engine, func(i int) (*lowerbound.Theorem12Result, error) {
 			return lowerbound.RunTheorem12Game(jobs[i].n, jobs[i].alg, 0)
 		})
 		if err != nil {

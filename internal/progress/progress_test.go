@@ -148,21 +148,22 @@ func TestTrackerAgainstRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCfg := sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}
+	cells := []engine.Trial{{Net: d, Alg: alg, Adv: adv, Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 99}}}
 	sc := engine.StreamConfig{}
 
-	base, err := engine.RunStreamScheduleFromContext(context.Background(), graph.Static(d), alg, adv, simCfg,
-		500, engine.Config{Workers: 4}, sc, nil, nil)
+	bases, err := engine.RunGridStreamFromContext(context.Background(), cells, 500, engine.Config{Workers: 4},
+		sc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tr := NewTracker(500, sc)
-	sum, err := engine.RunStreamScheduleFromContext(context.Background(), graph.Static(d), alg, adv, simCfg,
-		500, engine.Config{Workers: 4}, sc, nil, tr.Observe)
+	sums, err := engine.RunGridStreamFromContext(context.Background(), cells, 500, engine.Config{Workers: 4},
+		sc, nil, tr.Observe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, sum := bases[0], sums[0]
 	done, rounds := tr.snapshot()
 	if done != 500 || rounds.Count() != 500 {
 		t.Fatalf("tracker saw %d trials / %d rounds values, want 500/500", done, rounds.Count())

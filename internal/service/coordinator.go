@@ -105,7 +105,7 @@ type Report struct {
 }
 
 // newCoordination builds the ledger for a coordinator job.
-func newCoordination(sw spec.Sweep, cells int, trials int, sc engine.StreamConfig, leaseSeconds int) (*coordination, error) {
+func newCoordination(sw spec.Sweep, cells int, sc engine.StreamConfig, leaseSeconds int) (*coordination, error) {
 	hash, err := sw.Hash()
 	if err != nil {
 		return nil, err
@@ -114,7 +114,7 @@ func newCoordination(sw spec.Sweep, cells int, trials int, sc engine.StreamConfi
 	if leaseSeconds > 0 {
 		lease = time.Duration(leaseSeconds) * time.Second
 	}
-	shards := engine.Shards(trials)
+	shards := engine.Shards(sw.TrialCount())
 	units := cells * shards
 	co := &coordination{
 		specHash:  hash,
@@ -170,7 +170,7 @@ func (s *Server) ClaimShard(id string) (Claim, bool, error) {
 		co.deadlines[u] = now.Add(co.lease)
 		mShardClaims.Inc()
 		c, sh := u/co.shards, u%co.shards
-		lo, hi := engine.ShardRange(j.trials, sh)
+		lo, hi := engine.ShardRange(j.sweep.TrialCount(), sh)
 		return Claim{
 			Cell: c, Shard: sh, TrialLo: lo, TrialHi: hi,
 			Scenario:     j.cells[c].Scenario,
@@ -213,7 +213,7 @@ func (s *Server) ReportShard(id string, rep Report) (JobStatus, error) {
 	if err := sum.UnmarshalBinary(rep.Summary); err != nil {
 		return JobStatus{}, fmt.Errorf("report for (%d, %d): %w", rep.Cell, rep.Shard, err)
 	}
-	lo, hi := engine.ShardRange(j.trials, rep.Shard)
+	lo, hi := engine.ShardRange(j.sweep.TrialCount(), rep.Shard)
 	if sum.Trials != int64(hi-lo) {
 		return JobStatus{}, fmt.Errorf("report for (%d, %d) covers %d trials, unit range [%d, %d) has %d",
 			rep.Cell, rep.Shard, sum.Trials, lo, hi, hi-lo)

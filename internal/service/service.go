@@ -1,7 +1,7 @@
 // Package service is the long-running sweep service behind cmd/dgsimd: a
 // job manager that accepts declarative spec.Sweep jobs over a versioned
 // envelope, executes them one at a time on one shared deterministic grid
-// pool (engine.RunGridStreamContext via spec.Sweep.Stream), supports
+// pool (engine.RunGridStreamFromContext via spec.Sweep.StreamFrom), supports
 // per-job cancellation at (cell, shard) granularity, and streams per-cell
 // summary lines — rendered by the same spec.FormatSummary the CLI uses, so
 // a job's streamed results are byte-identical to `dgsim -spec` output for
@@ -144,7 +144,6 @@ type job struct {
 	name    string
 	sweep   spec.Sweep
 	cells   []spec.Cell
-	trials  int
 	created time.Time
 
 	state   State
@@ -165,7 +164,7 @@ func (j *job) status() JobStatus {
 		State:          j.state,
 		Cells:          len(j.cells),
 		CellsCompleted: len(j.results),
-		Trials:         j.trials,
+		Trials:         j.sweep.TrialCount(),
 		Mode:           mode,
 		Created:        j.created,
 		Error:          j.err,
@@ -227,13 +226,9 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	trials := req.Sweep.Trials
-	if trials <= 0 {
-		trials = 1
-	}
 	var coord *coordination
 	if req.Mode == ModeCoordinator {
-		coord, err = newCoordination(req.Sweep, len(cells), trials, s.cfg.Stream, req.LeaseSeconds)
+		coord, err = newCoordination(req.Sweep, len(cells), s.cfg.Stream, req.LeaseSeconds)
 		if err != nil {
 			return JobStatus{}, err
 		}
@@ -250,7 +245,6 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		name:    req.Name,
 		sweep:   req.Sweep,
 		cells:   cells,
-		trials:  trials,
 		created: time.Now().UTC(),
 		state:   Queued,
 		coord:   coord,
@@ -414,7 +408,7 @@ func (s *Server) runJob(j *job) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	_, err := j.sweep.Stream(ctx, s.cfg.Engine, s.cfg.Stream, func(cr spec.CellResult) {
+	_, err := j.sweep.StreamFrom(ctx, s.cfg.Engine, s.cfg.Stream, nil, nil, func(cr spec.CellResult) {
 		line := CellLine{Cell: cr.Cell.Index, Label: cr.Cell.Label, Summary: spec.FormatSummary(cr.Summary)}
 		s.mu.Lock()
 		j.results = append(j.results, line)

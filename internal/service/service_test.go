@@ -157,13 +157,13 @@ func waitState(t *testing.T, s *Server, id string, want func(State) bool) JobSta
 
 // A submitted sweep must run end to end with every per-cell line streamed
 // in cell order and byte-identical to the same sweep's local
-// Sweep.Run + FormatSummary rendering — i.e. to `dgsim -spec` output —
+// Sweep.StreamFrom + FormatSummary rendering — i.e. to `dgsim -spec` output —
 // whatever worker count the service pool uses.
 func TestJobResultsDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := smallSweep(64)
 
 	// Local reference: the exact lines dgsim -spec prints for each cell.
-	grid, err := sw.Run(engine.Config{Workers: 1}, engine.StreamConfig{})
+	grid, err := sw.StreamFrom(context.Background(), engine.Config{Workers: 1}, engine.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

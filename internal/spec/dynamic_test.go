@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -161,7 +162,7 @@ func TestSweepSchedulesAxis(t *testing.T) {
 	}
 	var want *GridResult
 	for _, workers := range []int{1, 2, 8} {
-		grid, err := sw.Run(engine.Config{Workers: workers}, engine.StreamConfig{})
+		grid, err := sw.StreamFrom(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestSweepSchedulesAxis(t *testing.T) {
 	if err := json.Unmarshal([]byte(blob), &parsed); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := parsed.Run(engine.Config{}, engine.StreamConfig{})
+	grid, err := parsed.StreamFrom(context.Background(), engine.Config{}, engine.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

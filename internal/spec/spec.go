@@ -31,7 +31,6 @@
 package spec
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -309,97 +308,25 @@ func (b *Built) schedule() graph.Schedule {
 	return graph.Static(b.Net)
 }
 
-// RunContext executes the built scenario once: dynamically when a schedule
-// is set, which for the static schedule is exactly the fixed-network run. A
-// single run is one indivisible trial, so ctx is only consulted before it
-// starts.
-func (b *Built) RunContext(ctx context.Context) (*sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Run executes the built scenario once with exactly Cfg.Seed: dynamically
+// when a schedule is set, which for the static schedule is exactly the
+// fixed-network run.
+func (b *Built) Run() (*sim.Result, error) {
 	return sim.RunDynamic(b.schedule(), b.Alg, b.Adv, b.Cfg)
 }
 
-// Run is RunContext without cancellation (compatibility entry point).
-func (b *Built) Run() (*sim.Result, error) {
-	return b.RunContext(context.Background())
+// Trial returns the built scenario as the engine's unit of work, for
+// engine.RunMany and the grid runner: run i of it uses the sim seed
+// engine.SeedFor(Cfg.Seed, i).
+func (b *Built) Trial() engine.Trial {
+	return engine.Trial{Net: b.Net, Sched: b.Sched, Alg: b.Alg, Adv: b.Adv, Cfg: b.Cfg}
 }
 
-// RunManyContext fans trials independent runs over the engine (see
-// engine.RunManyContext for the seed-derivation, determinism, and
-// cancellation contracts, which dynamic scenarios inherit via
-// engine.RunManyScheduleContext).
-func (b *Built) RunManyContext(ctx context.Context, trials int, ec engine.Config) ([]*sim.Result, error) {
-	return engine.RunManyScheduleContext(ctx, b.schedule(), b.Alg, b.Adv, b.Cfg, trials, ec)
-}
-
-// RunMany is RunManyContext without cancellation (compatibility entry
-// point).
-func (b *Built) RunMany(trials int, ec engine.Config) ([]*sim.Result, error) {
-	return b.RunManyContext(context.Background(), trials, ec)
-}
-
-// RunStreamContext is the memory-bounded sweep, cancellable at shard
-// granularity (see engine.RunStreamContext).
-func (b *Built) RunStreamContext(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	return engine.RunStreamScheduleContext(ctx, b.schedule(), b.Alg, b.Adv, b.Cfg, trials, ec, sc)
-}
-
-// RunStream is RunStreamContext without cancellation (compatibility entry
-// point).
-func (b *Built) RunStream(trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	return b.RunStreamContext(context.Background(), trials, ec, sc)
-}
-
-// RunStreamFromContext is RunStreamContext with the checkpoint-restore seed
-// map and the per-shard completion callback exposed (see
-// engine.RunStreamScheduleFromContext) — the entry point progress trackers
-// and checkpoint writers hook into.
-func (b *Built) RunStreamFromContext(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig,
-	seed map[int]*engine.TrialSummary, onShard func(engine.ShardState)) (*engine.TrialSummary, error) {
-	return engine.RunStreamScheduleFromContext(ctx, b.schedule(), b.Alg, b.Adv, b.Cfg, trials, ec, sc, seed, onShard)
-}
-
-// RunContext builds the scenario and executes it once.
-func (s Scenario) RunContext(ctx context.Context) (*sim.Result, error) {
-	b, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return b.RunContext(ctx)
-}
-
-// Run is RunContext without cancellation (compatibility entry point).
+// Run builds the scenario and executes it once.
 func (s Scenario) Run() (*sim.Result, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunManyContext builds the scenario and fans trials runs over the engine.
-func (s Scenario) RunManyContext(ctx context.Context, trials int, ec engine.Config) ([]*sim.Result, error) {
 	b, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	return b.RunManyContext(ctx, trials, ec)
-}
-
-// RunMany is RunManyContext without cancellation (compatibility entry
-// point).
-func (s Scenario) RunMany(trials int, ec engine.Config) ([]*sim.Result, error) {
-	return s.RunManyContext(context.Background(), trials, ec)
-}
-
-// RunStreamContext builds the scenario and executes a memory-bounded sweep.
-func (s Scenario) RunStreamContext(ctx context.Context, trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	b, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return b.RunStreamContext(ctx, trials, ec, sc)
-}
-
-// RunStream is RunStreamContext without cancellation (compatibility entry
-// point).
-func (s Scenario) RunStream(trials int, ec engine.Config, sc engine.StreamConfig) (*engine.TrialSummary, error) {
-	return s.RunStreamContext(context.Background(), trials, ec, sc)
+	return b.Run()
 }

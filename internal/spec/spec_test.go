@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -48,6 +49,35 @@ func TestEveryRegisteredNameConstructsAtSmallN(t *testing.T) {
 	}
 }
 
+// runMany builds s and runs trials of it through the engine's slice path.
+func runMany(t testing.TB, s Scenario, trials int, ec engine.Config) []*sim.Result {
+	t.Helper()
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := engine.RunMany(context.Background(), b.Trial(), trials, ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// streamAlone builds s and streams trials of it as a one-cell grid.
+func streamAlone(t testing.TB, s Scenario, trials int, ec engine.Config) *engine.TrialSummary {
+	t.Helper()
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := engine.RunGridStreamFromContext(context.Background(), []engine.Trial{b.Trial()}, trials, ec,
+		engine.StreamConfig{}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums[0]
+}
+
 // TestJSONRoundTripRunsBitIdentical is the serialization contract: a
 // Scenario marshaled, unmarshaled, and run must produce exactly the results
 // of the original value's direct RunMany path.
@@ -72,14 +102,8 @@ func TestJSONRoundTripRunsBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal %s: %v", blob, err)
 	}
-	want, err := s.RunMany(6, engine.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.RunMany(6, engine.Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runMany(t, s, 6, engine.Config{Workers: 2})
+	got := runMany(t, back, 6, engine.Config{Workers: 3})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("results after a JSON round trip differ from the original scenario's")
 	}
@@ -111,17 +135,14 @@ func TestScenarioMatchesPositionalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.RunMany(b.Net, b.Alg, b.Adv,
-		sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}, 8, engine.Config{Workers: 2})
+	want, err := engine.RunMany(context.Background(), engine.Trial{Net: b.Net, Alg: b.Alg, Adv: b.Adv,
+		Cfg: sim.Config{Rule: sim.CR4, Start: sim.AsyncStart, Seed: 2}}, 8, engine.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RunMany(8, engine.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runMany(t, s, 8, engine.Config{Workers: 1})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Scenario.RunMany differs from the positional engine.RunMany path")
+		t.Fatal("the built Scenario's RunMany differs from the positional engine.RunMany path")
 	}
 }
 

@@ -72,8 +72,10 @@ func (sw *Sweep) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// trials returns the per-cell Monte Carlo depth.
-func (sw Sweep) trials() int {
+// TrialCount returns the per-cell Monte Carlo depth: Trials, or 1 when it
+// is unset. Every consumer of a sweep's depth (the grid run, checkpoint
+// identities, coordinator shard ranges) reads it from here.
+func (sw Sweep) TrialCount() int {
 	if sw.Trials > 0 {
 		return sw.Trials
 	}
@@ -205,7 +207,8 @@ type CellResult struct {
 	// Cell identifies the grid point.
 	Cell Cell
 	// Summary aggregates the cell's trials (bit-identical at any worker
-	// count; equal to the cell's standalone Scenario.RunStream output).
+	// count; equal to the summary of the cell's Scenario run alone as a
+	// one-cell grid).
 	Summary *engine.TrialSummary
 }
 
@@ -227,10 +230,10 @@ func (g *GridResult) Cell(label string) (*CellResult, bool) {
 	return nil, false
 }
 
-// Stream expands the sweep and executes the whole grid on the trial
+// StreamFrom expands the sweep and executes the whole grid on the trial
 // engine: cell networks are constructed in parallel (deterministically,
 // each from its own scenario seed), then all (cell, shard) work units share
-// one worker pool (engine.RunGridStreamContext), so the pool stays
+// one worker pool (engine.RunGridStreamFromContext), so the pool stays
 // saturated whether the grid is wide or deep. Every cell summary is
 // bit-identical at any worker count and equal to running that cell's
 // Scenario alone.
@@ -243,17 +246,14 @@ func (g *GridResult) Cell(label string) (*CellResult, bool) {
 //
 // Cancelling ctx stops the run at (cell, shard) granularity with a wrapped
 // context error; cells already delivered through onCell remain final.
-func (sw Sweep) Stream(ctx context.Context, ec engine.Config, sc engine.StreamConfig, onCell func(CellResult)) (*GridResult, error) {
-	return sw.StreamFrom(ctx, ec, sc, nil, nil, onCell)
-}
-
-// StreamFrom is Stream with checkpoint hooks, threading the engine's resume
-// contract through the spec layer: units in seed are restored instead of
-// run, onShard observes every freshly completed unit (from worker
-// goroutines, possibly concurrently — synchronize, and consume the summary
-// during the call), and the grid result — including the order and content of
-// onCell deliveries — is bit-identical to an uninterrupted Stream at any
-// worker count on either side of the interruption.
+//
+// A fresh run passes nil seed and onShard. For a resumed run, units in seed
+// are restored instead of run, and onShard observes every freshly completed
+// unit (from worker goroutines, possibly concurrently — synchronize, and
+// consume the summary during the call); the grid result — including the
+// order and content of onCell deliveries — is bit-identical to an
+// uninterrupted run at any worker count on either side of the
+// interruption.
 func (sw Sweep) StreamFrom(ctx context.Context, ec engine.Config, sc engine.StreamConfig,
 	seed map[engine.ShardKey]*engine.TrialSummary, onShard func(engine.ShardState),
 	onCell func(CellResult)) (*GridResult, error) {
@@ -266,7 +266,7 @@ func (sw Sweep) StreamFrom(ctx context.Context, ec engine.Config, sc engine.Stre
 		if err != nil {
 			return engine.Trial{}, fmt.Errorf("cell %s: %w", cells[i].Label, err)
 		}
-		return engine.Trial{Net: b.Net, Sched: b.Sched, Alg: b.Alg, Adv: b.Adv, Cfg: b.Cfg}, nil
+		return b.Trial(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -311,23 +311,13 @@ func (sw Sweep) StreamFrom(ctx context.Context, ec engine.Config, sc engine.Stre
 			}
 		}
 	}
-	sums, err := engine.RunGridStreamFromContext(ctx, built, sw.trials(), ec, sc, seed, onShard, onEngineCell)
+	sums, err := engine.RunGridStreamFromContext(ctx, built, sw.TrialCount(), ec, sc, seed, onShard, onEngineCell)
 	if err != nil {
 		return nil, err
 	}
-	out := &GridResult{Trials: sw.trials(), Cells: make([]CellResult, len(cells))}
+	out := &GridResult{Trials: sw.TrialCount(), Cells: make([]CellResult, len(cells))}
 	for i, c := range cells {
 		out.Cells[i] = CellResult{Cell: c, Summary: sums[i]}
 	}
 	return out, nil
-}
-
-// RunContext is Stream without per-cell delivery.
-func (sw Sweep) RunContext(ctx context.Context, ec engine.Config, sc engine.StreamConfig) (*GridResult, error) {
-	return sw.Stream(ctx, ec, sc, nil)
-}
-
-// Run is RunContext without cancellation (compatibility entry point).
-func (sw Sweep) Run(ec engine.Config, sc engine.StreamConfig) (*GridResult, error) {
-	return sw.RunContext(context.Background(), ec, sc)
 }

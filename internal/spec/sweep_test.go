@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -63,15 +64,15 @@ func TestEmptySweepIsOneBaseCell(t *testing.T) {
 // TestGridDeterministicAcrossWorkerCounts is the tentpole guarantee: the
 // whole GridResult — every cell summary, including quantile sketch state —
 // is bit-identical at 1, 2, and 8 workers, and each cell equals its
-// standalone Scenario.RunStream output.
+// Scenario streamed alone as a one-cell grid.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := testSweep()
-	ref, err := sw.Run(engine.Config{Workers: 1}, engine.StreamConfig{})
+	ref, err := sw.StreamFrom(context.Background(), engine.Config{Workers: 1}, engine.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := sw.Run(engine.Config{Workers: workers}, engine.StreamConfig{})
+		got, err := sw.StreamFrom(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -80,12 +81,9 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	for _, cr := range ref.Cells {
-		standalone, err := cr.Cell.Scenario.RunStream(sw.Trials, engine.Config{Workers: 3}, engine.StreamConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		standalone := streamAlone(t, cr.Cell.Scenario, sw.Trials, engine.Config{Workers: 3})
 		if !reflect.DeepEqual(cr.Summary, standalone) {
-			t.Errorf("cell %q: grid summary differs from standalone RunStream", cr.Cell.Label)
+			t.Errorf("cell %q: grid summary differs from the cell streamed alone", cr.Cell.Label)
 		}
 	}
 }
@@ -183,20 +181,20 @@ func TestRunRejectsDuplicateBuiltCells(t *testing.T) {
 	base := Default()
 	base.Topology = Choice{Name: "grid"}
 	sw := Sweep{Base: base, Ns: []int{33, 34}, Trials: 2}
-	_, err := sw.Run(engine.Config{Workers: 2}, engine.StreamConfig{})
+	_, err := sw.StreamFrom(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, nil, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "same 36-node network") {
 		t.Fatalf("err = %v, want a duplicate-cell rejection", err)
 	}
 	// Distinct built sizes stay fine.
 	sw.Ns = []int{16, 36}
-	if _, err := sw.Run(engine.Config{Workers: 2}, engine.StreamConfig{}); err != nil {
+	if _, err := sw.StreamFrom(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestGridResultLookupByLabel(t *testing.T) {
 	sw := Sweep{Base: Default(), Ns: []int{9, 17}, Trials: 2}
-	g, err := sw.Run(engine.Config{Workers: 2}, engine.StreamConfig{})
+	g, err := sw.StreamFrom(context.Background(), engine.Config{Workers: 2}, engine.StreamConfig{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

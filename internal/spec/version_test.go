@@ -105,7 +105,7 @@ func TestSweepStreamOrdered(t *testing.T) {
 	sw.Base.N = 13
 	for _, workers := range []int{1, 3, 8} {
 		var streamed []CellResult
-		grid, err := sw.Stream(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, func(cr CellResult) {
+		grid, err := sw.StreamFrom(context.Background(), engine.Config{Workers: workers}, engine.StreamConfig{}, nil, nil, func(cr CellResult) {
 			streamed = append(streamed, cr)
 		})
 		if err != nil {
@@ -135,7 +135,7 @@ func TestSweepStreamCancelDeliversPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var streamed []int
-	_, err := sw.Stream(ctx, engine.Config{Workers: 2}, engine.StreamConfig{}, func(cr CellResult) {
+	_, err := sw.StreamFrom(ctx, engine.Config{Workers: 2}, engine.StreamConfig{}, nil, nil, func(cr CellResult) {
 		streamed = append(streamed, cr.Cell.Index)
 		if len(streamed) == 2 {
 			cancel()
