@@ -53,8 +53,10 @@ race:
 
 # Short-budget pass over every native fuzz target: the wire formats that
 # cross trust boundaries (spec scenario/sweep JSON, the stats stream codec,
-# checkpoint torn-tail recovery) and the lazily seeded RNG sources, which
-# must reproduce rand.NewSource's stream for any seed and draw pattern. A few
+# checkpoint torn-tail recovery), the lazily seeded RNG sources, which
+# must reproduce rand.NewSource's stream for any seed and draw pattern, and
+# the direct-CSR geometric dual builder, which must equal the Builder→Freeze
+# reference for any positions and radii. A few
 # seconds each is enough to replay the checked-in corpus and shake the
 # shallow branches in CI; run `go test -fuzz=<target> -fuzztime=10m <pkg>`
 # for a real hunt.
@@ -66,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run NONE -fuzz FuzzSourceExact -fuzztime $(FUZZTIME) ./internal/randsrc/
+	$(GO) test -run NONE -fuzz FuzzDualFromPositions -fuzztime $(FUZZTIME) ./internal/graph/
 
 # Coverage floor gate: measure per-package statement coverage on the tier-1
 # test suite and fail if any package drops below its checked-in floor

@@ -717,6 +717,55 @@ func BenchmarkEpochSwap(b *testing.B) {
 	b.ReportMetric(float64(arcs), "arcs/epoch")
 }
 
+// benchEpochSwap materializes successive epochs of sched (epochs 1..64,
+// cycling) and reports the G' arc count of the last one, so the two
+// schedule kinds below price one epoch each on the same n=129 geometric
+// network the dynamic-epochs workload runs (registry default radii and
+// probabilities).
+func benchEpochSwap(b *testing.B, sched graph.Schedule) {
+	b.Helper()
+	arcs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep, err := sched.Epoch(1+i%64, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arcs = ep.GPrime().NumEdges()
+	}
+	b.ReportMetric(float64(arcs), "arcs/epoch")
+}
+
+// BenchmarkEpochSwapWaypoint prices a full waypoint epoch: interpolating
+// 129 positions and building the geometric dual from them (direct CSR fill
+// plus NewDual's validation), the rebuild a mobility run pays per epoch.
+func BenchmarkEpochSwapWaypoint(b *testing.B) {
+	d, err := graph.Geometric(129, 0.28, 0.7, dualgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := graph.NewWaypoint(d, 8, 4, 0.28, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEpochSwap(b, sched)
+}
+
+// BenchmarkEpochSwapFade prices a fading epoch on the same network: the coin
+// scan plus the dirty-row patch of G and the fringe, sharing the base G'.
+func BenchmarkEpochSwapFade(b *testing.B) {
+	d, err := graph.Geometric(129, 0.28, 0.7, dualgraph.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := graph.NewFade(d, 8, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEpochSwap(b, sched)
+}
+
 // BenchmarkEpochSwapIncremental sweeps the per-epoch churn probability to
 // pin the incremental claim: swap cost must scale with the down set and its
 // neighbourhood (the dirty rows), not with the network — a 100× drop in

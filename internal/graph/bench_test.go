@@ -118,9 +118,10 @@ func BenchmarkUnreliableMembership(b *testing.B) {
 }
 
 // BenchmarkGeometricBuild100k is the construction half of the 100k-node
-// stress path: the cell-bucketed generator plus two freezes and the fringe
-// subtraction, ~2.7M arcs end to end. The historical all-pairs loop would
-// perform 5·10^9 distance evaluations here.
+// stress path: the cell-bucketed pair walk, the two counting passes that
+// fill G and G' as sorted CSR, and the fringe subtraction, ~2.7M arcs end
+// to end. The historical all-pairs loop would perform 5·10^9 distance
+// evaluations here.
 func BenchmarkGeometricBuild100k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

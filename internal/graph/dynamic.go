@@ -1,10 +1,13 @@
 // Dynamic dual graphs: epoch-scheduled time-varying topologies.
 //
 // A Schedule produces the sequence of frozen networks — epochs — that a
-// dynamic run executes on. Each epoch is an ordinary immutable Dual built
-// through the same Builder→Freeze path as a static network, so within an
-// epoch the simulator's allocation-free CSR hot loop is untouched; only the
-// epoch boundary pays for a swap. EdgeIDs are dense per epoch: an id names an
+// dynamic run executes on. Each epoch is an ordinary immutable Dual, so
+// within an epoch the simulator's allocation-free CSR hot loop is untouched;
+// only the epoch boundary pays for a swap. Churn and fade epochs patch the
+// base network's CSR rows (filterRowsPatched, subtractPatched); waypoint
+// epochs are the geometric dual of the epoch's positions, built directly as
+// sorted CSR by DualFromPositions, the generator of the static geometric
+// topology. EdgeIDs are dense per epoch: an id names an
 // arc of one epoch's fringe only, and adversaries must resolve ids against
 // the Dual they are currently handed (View.Dual), never cache them across
 // epochs.

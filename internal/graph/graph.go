@@ -22,9 +22,11 @@
 // Time-varying networks are built on the same immutable cores: a Schedule
 // (see dynamic.go) produces a sequence of frozen Duals — epochs — from a
 // base topology plus a mutation policy (node churn, link fading, waypoint
-// mobility), each epoch assembled through the ordinary Builder→Freeze path,
-// so the simulator's allocation-free hot loop is untouched within an epoch.
-// EdgeIDs are dense per epoch and must never be cached across epochs.
+// mobility), so the simulator's allocation-free hot loop is untouched within
+// an epoch. Churn and fade epochs patch the base's CSR rows; waypoint epochs
+// are built by DualFromPositions, which fills sorted CSR rows directly. No
+// epoch goes through a Builder. EdgeIDs are dense per epoch and must never
+// be cached across epochs.
 package graph
 
 import (

@@ -270,11 +270,12 @@ func RandomDual(n int, pReliable, pUnreliable float64, rng *rand.Rand) (*Dual, e
 // backbone.
 //
 // Candidate pairs are enumerated through a uniform cell grid of side
-// >= rUnreliable, so construction costs O(n + p·log) for p pairs within
-// radius instead of the quadratic all-pairs scan — a 100k-node deployment
-// with local radii builds in well under a second. The edge set (and hence
-// the frozen Dual) is identical to the historical all-pairs construction
-// for the same rng, since positions consume the only random draws.
+// >= rUnreliable, so construction costs O(n + c) for c candidate pairs in
+// adjacent cells instead of the quadratic all-pairs scan — a 100k-node
+// deployment with local radii builds in well under a second. The edge set
+// (and hence the frozen Dual) is identical to the historical all-pairs
+// construction for the same rng, since positions consume the only random
+// draws.
 func Geometric(n int, rReliable, rUnreliable float64, rng *rand.Rand) (*Dual, error) {
 	if n < 2 {
 		return nil, ErrTooSmall
@@ -293,7 +294,19 @@ func Geometric(n int, rReliable, rUnreliable float64, rng *rand.Rand) (*Dual, er
 // rReliable and rUnreliable are unreliable, and a Hamiltonian path in index
 // order is added to G so every node stays reachable from the source. It is
 // the position-driven core shared by Geometric (random placement) and the
-// waypoint mobility schedule (epoch-interpolated placement).
+// waypoint mobility schedule (epoch-interpolated placement), so it runs once
+// per waypoint epoch.
+//
+// G and G' are built directly as sorted CSR, with no Builder log and no row
+// sort. Each unordered pair u < v is classified once and recorded in u's
+// upper row (its neighbours above u, in enumeration order). Two counting
+// passes then place every arc: walking u ascending appends u to the rows of
+// its upper neighbours, which fills each row's below-the-node half already
+// sorted; walking v ascending over those halves appends v to the rows of its
+// lower neighbours, which fills each row's above-the-node half sorted. Total
+// cost O(n + m) beyond the distance tests. The result passes the same
+// validation as NewDual: the subgraph check, which also produces the fringe,
+// and the reachability BFS.
 func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source NodeID) (*Dual, error) {
 	n := len(xs)
 	if n < 2 {
@@ -305,18 +318,12 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 	if rUnreliable < rReliable {
 		return nil, fmt.Errorf("rUnreliable (%v) must be >= rReliable (%v)", rUnreliable, rReliable)
 	}
-	dist := func(u, v int) float64 {
-		return math.Hypot(xs[u]-xs[v], ys[u]-ys[v])
-	}
-	g := NewBuilder(n, false)
-	for u := 0; u+1 < n; u++ {
-		g.MustAddEdge(NodeID(u), NodeID(u+1))
-	}
 
 	// Bucket nodes into a side x side grid with cell length >= rUnreliable:
 	// all pairs within the radius live in the same or an adjacent cell. The
 	// side is capped at ~sqrt(n) so bucket memory stays O(n) even for tiny
-	// radii.
+	// radii. Buckets are one counting-sorted array: bucket c is
+	// members[start[c]:start[c+1]], holding its nodes in ascending order.
 	side := 1
 	if rUnreliable > 0 {
 		side = int(1 / rUnreliable)
@@ -334,41 +341,139 @@ func DualFromPositions(xs, ys []float64, rReliable, rUnreliable float64, source 
 		}
 		return c
 	}
-	buckets := make([][]int32, side*side)
+	start := make([]int32, side*side+1)
 	for u := 0; u < n; u++ {
+		start[cellOf(ys[u])*side+cellOf(xs[u])]++
+	}
+	for c := 1; c <= side*side; c++ {
+		start[c] += start[c-1]
+	}
+	members := make([]int32, n)
+	for u := n - 1; u >= 0; u-- {
 		c := cellOf(ys[u])*side + cellOf(xs[u])
-		buckets[c] = append(buckets[c], int32(u))
+		start[c]--
+		members[start[c]] = int32(u)
 	}
 
-	var unreliable [][2]NodeID
+	// Classify every pair u < v once. up[upOff[u]:upOff[u+1]] is u's upper
+	// row: v for a reliable pair, ^v for an unreliable one. The path pair
+	// (u, u+1) leads the row and is always reliable, so the grid walk skips
+	// it. gOff and gpOff first count each node's degree in G and G'.
+	upOff := make([]int32, n+1)
+	up := make([]NodeID, 0, 2*n)
+	gOff := make([]int32, n+1)
+	gpOff := make([]int32, n+1)
+	addPair := func(u, v int, reliable bool) {
+		gpOff[u+1]++
+		gpOff[v+1]++
+		if reliable {
+			gOff[u+1]++
+			gOff[v+1]++
+			up = append(up, NodeID(v))
+		} else {
+			up = append(up, ^NodeID(v))
+		}
+	}
+	rel, unrel := newRadiusTest(rReliable), newRadiusTest(rUnreliable)
 	for u := 0; u < n; u++ {
-		cx, cy := cellOf(xs[u]), cellOf(ys[u])
+		if u+1 < n {
+			addPair(u, u+1, true)
+		}
+		xu, yu := xs[u], ys[u]
+		cx, cy := cellOf(xu), cellOf(yu)
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				x2, y2 := cx+dx, cy+dy
 				if x2 < 0 || x2 >= side || y2 < 0 || y2 >= side {
 					continue
 				}
-				for _, w := range buckets[y2*side+x2] {
+				c := y2*side + x2
+				for _, w := range members[start[c]:start[c+1]] {
 					v := int(w)
-					if v <= u {
+					if v <= u+1 {
 						continue
 					}
-					d := dist(u, v)
-					if d <= rReliable {
-						g.MustAddEdge(NodeID(u), NodeID(v))
-					} else if d <= rUnreliable {
-						unreliable = append(unreliable, [2]NodeID{NodeID(u), NodeID(v)})
+					px, py := xu-xs[v], yu-ys[v]
+					sq := px*px + py*py
+					if rel.within(px, py, sq) {
+						addPair(u, v, true)
+					} else if unrel.within(px, py, sq) {
+						addPair(u, v, false)
 					}
 				}
 			}
 		}
+		upOff[u+1] = int32(len(up))
 	}
-	gp := g.Clone()
-	for _, e := range unreliable {
-		gp.MustAddEdge(e[0], e[1])
+	for u := 0; u < n; u++ {
+		gOff[u+1] += gOff[u]
+		gpOff[u+1] += gpOff[u]
 	}
-	return NewDual(g, gp, source)
+
+	gT := make([]NodeID, gOff[n])
+	gpT := make([]NodeID, gpOff[n])
+	gCur := make([]int32, n)
+	gpCur := make([]int32, n)
+	copy(gCur, gOff[:n])
+	copy(gpCur, gpOff[:n])
+	// Lower halves: row v receives its neighbours u < v in increasing u.
+	for u := 0; u < n; u++ {
+		for _, e := range up[upOff[u]:upOff[u+1]] {
+			v := e
+			if e < 0 {
+				v = ^e
+			} else {
+				gT[gCur[v]] = NodeID(u)
+				gCur[v]++
+			}
+			gpT[gpCur[v]] = NodeID(u)
+			gpCur[v]++
+		}
+	}
+	// Upper halves: row u receives its neighbours v > u in increasing v.
+	// Row v's lower half is complete when v is visited, since only larger
+	// nodes write to row v from here on.
+	for v := 0; v < n; v++ {
+		for _, u := range gT[gOff[v]:gCur[v]] {
+			gT[gCur[u]] = NodeID(v)
+			gCur[u]++
+		}
+		for _, u := range gpT[gpOff[v]:gpCur[v]] {
+			gpT[gpCur[u]] = NodeID(v)
+			gpCur[u]++
+		}
+	}
+	g := &Graph{n: n, offsets: gOff, targets: gT}
+	gp := &Graph{n: n, offsets: gpOff, targets: gpT}
+	return newDual(g, gp, source)
+}
+
+// radiusTest decides math.Hypot(dx, dy) <= r, the link test of the
+// geometric model, with the same answer as the Hypot comparison but usually
+// without calling Hypot: it first compares the squared distance sq = dx²+dy²
+// against r² widened by a relative band of 1e-9 on either side. The rounding
+// errors of sq and of Hypot are a few parts in 10^16, so a squared distance
+// outside the band decides the comparison exactly; inside it the test calls
+// Hypot. A radius outside [1e-100, 1e100] (0, negative and NaN included),
+// where r² or sq could under- or overflow past the band, always calls Hypot:
+// lo = -1 and hi = +Inf admit no squared distance.
+type radiusTest struct{ r, lo, hi float64 }
+
+func newRadiusTest(r float64) radiusTest {
+	if !(r >= 1e-100 && r <= 1e100) {
+		return radiusTest{r: r, lo: -1, hi: math.Inf(1)}
+	}
+	return radiusTest{r: r, lo: r * r * (1 - 1e-9), hi: r * r * (1 + 1e-9)}
+}
+
+func (t radiusTest) within(dx, dy, sq float64) bool {
+	if sq < t.lo {
+		return true
+	}
+	if sq > t.hi {
+		return false
+	}
+	return math.Hypot(dx, dy) <= t.r
 }
 
 // BinaryTree returns the classical complete binary tree on n nodes rooted at

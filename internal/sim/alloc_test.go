@@ -108,6 +108,52 @@ func TestLargeScaleRoundLoopAllocationFree(t *testing.T) {
 	}
 }
 
+// swapMallocBudgetCheck runs sched for 200 and for 600 rounds and fails if
+// the 400 extra rounds allocate more than perEpochBudget mallocs per extra
+// epoch swap (plus a constant 100 of slack). Both runs pay identical setup,
+// so the difference isolates the extra epoch boundaries: steady-state
+// rounds must stay allocation-free, and each swap may allocate only a
+// bounded number of arrays, never anything proportional to the round count.
+func swapMallocBudgetCheck(t *testing.T, sched graph.Schedule, perEpochBudget int64) {
+	t.Helper()
+	alg, err := core.NewUniform(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := adversary.NewRandom(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(rounds int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := sim.RunDynamic(sched, alg, adv, sim.Config{
+			Rule:           sim.CR3,
+			Start:          sim.AsyncStart,
+			Seed:           7,
+			MaxRounds:      rounds,
+			RunToMaxRounds: true,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	baseAllocs := measure(200)
+	fullAllocs := measure(600)
+	extra := int64(fullAllocs) - int64(baseAllocs)
+	extraEpochs := int64((600 - 200) / sched.EpochLength())
+	budget := extraEpochs*perEpochBudget + 100
+	if extra > budget {
+		t.Fatalf("%d extra mallocs over 400 rounds / %d epochs (budget %d): epoch swaps are not allocation-bounded",
+			extra, extraEpochs, budget)
+	}
+	t.Logf("%d extra mallocs over %d extra epoch swaps", extra, extraEpochs)
+}
+
 // TestLargeScaleDynamicAllocationBounded extends the 100k-node stress path
 // to dynamic schedules: under churn and fade the steady-state rounds must
 // stay allocation-free and only epoch boundaries may allocate, bounded by a
@@ -124,20 +170,11 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 		epochLen = 50
 		// Per-swap allocation budget: the incremental churn epoch costs ~12
 		// graph-side allocations (masks, two patched cores, fringe, dual)
-		// plus the simulator's in-degree re-scan; fade slightly fewer. A full
-		// Builder→Freeze rebuild costs hundreds per epoch at this scale.
+		// plus the simulator's in-degree re-scan, which reuses its scratch;
+		// fade slightly fewer. Neither epoch kind goes through a Builder.
 		perEpochBudget = 48
 	)
 	d, err := graph.Geometric(n, 0.004, 0.009, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	alg, err := core.NewUniform(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := adversary.NewRandom(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,36 +191,35 @@ func TestLargeScaleDynamicAllocationBounded(t *testing.T) {
 	}
 	for name, sched := range schedules {
 		t.Run(name, func(t *testing.T) {
-			measure := func(rounds int) uint64 {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				_, err := sim.RunDynamic(sched, alg, adv, sim.Config{
-					Rule:           sim.CR3,
-					Start:          sim.AsyncStart,
-					Seed:           7,
-					MaxRounds:      rounds,
-					RunToMaxRounds: true,
-				})
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return after.Mallocs - before.Mallocs
-			}
-			// Both runs pay identical setup; the difference isolates 400
-			// extra rounds containing 8 extra epoch swaps.
-			baseAllocs := measure(200)
-			fullAllocs := measure(600)
-			extra := int64(fullAllocs) - int64(baseAllocs)
-			extraEpochs := int64((600 - 200) / epochLen)
-			budget := extraEpochs*perEpochBudget + 100
-			if extra > budget {
-				t.Fatalf("%s: %d extra mallocs over 400 rounds / %d epochs (budget %d): epoch swaps are not allocation-bounded",
-					name, extra, extraEpochs, budget)
-			}
+			swapMallocBudgetCheck(t, sched, perEpochBudget)
 		})
 	}
+}
+
+// TestWaypointDynamicAllocationBounded is the waypoint sibling at a
+// moderate n: every waypoint epoch rebuilds the geometric dual from fresh
+// positions, so a swap allocates the new CSR cores, but only a fixed number
+// of arrays — the positions, the flat cell buckets, the pair rows and
+// cursors, three cores and the validation BFS — whatever the grid side or
+// the arc count. When an epoch's in-degrees outgrow the delivery rows the
+// simulator re-carves them from its kept backing, at most one allocation.
+// (The Builder→Freeze rebuild this replaced grew one bucket slice per grid
+// cell and an arc log per core: several hundred mallocs per epoch here.)
+func TestWaypointDynamicAllocationBounded(t *testing.T) {
+	const (
+		n              = 2000
+		epochLen       = 20
+		perEpochBudget = 40
+	)
+	d, err := graph.Geometric(n, 0.03, 0.07, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := graph.NewWaypoint(d, epochLen, 4, 0.03, 0.07)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapMallocBudgetCheck(t, sched, perEpochBudget)
 }
 
 // TestSetupAllocationLazyRNG prices per-trial setup: a one-round run at

@@ -8,7 +8,7 @@ import (
 
 // TestEnsureCapacityNoAliasingAcrossSwaps is the epoch-boundary buffer
 // invariant: after swapping to an epoch with larger G' in-degrees the
-// unreliable-delivery rows must be rebuilt (an old row would overflow its
+// unreliable-delivery rows must be re-carved (an old row would overflow its
 // slot in the flat backing array), after which filling every row to its new
 // bound keeps all rows disjoint — no delivery-list aliasing. Swapping to a
 // smaller epoch must keep the existing buffers (the lazy half of the resize).
@@ -41,7 +41,7 @@ func TestEnsureCapacityNoAliasingAcrossSwaps(t *testing.T) {
 	// unreliable deliveries.
 	buf.ensureCapacity(big)
 	if buf.dense != wasDense {
-		t.Fatal("rebuild changed the per-run delivery mode")
+		t.Fatal("re-carve changed the per-run delivery mode")
 	}
 	for v := 0; v < n; v++ {
 		if got := cap(buf.unrel[v]); got < n-1 {
@@ -68,8 +68,8 @@ func TestEnsureCapacityNoAliasingAcrossSwaps(t *testing.T) {
 	}
 	buf.clearRound(sent)
 
-	// Shrink swap: complete -> line. Capacities suffice, so the buffers are
-	// kept as-is (lazy: no rebuild).
+	// Shrink swap: complete -> line. Capacities suffice, so the rows are
+	// kept as-is (lazy: no re-carve).
 	bigCaps := make([]int, n)
 	for v := range bigCaps {
 		bigCaps[v] = cap(buf.unrel[v])
@@ -77,7 +77,7 @@ func TestEnsureCapacityNoAliasingAcrossSwaps(t *testing.T) {
 	buf.ensureCapacity(small)
 	for v := 0; v < n; v++ {
 		if cap(buf.unrel[v]) != bigCaps[v] {
-			t.Fatalf("shrink swap rebuilt row %d (cap %d -> %d); resize should be lazy",
+			t.Fatalf("shrink swap re-carved row %d (cap %d -> %d); resize should be lazy",
 				v, bigCaps[v], cap(buf.unrel[v]))
 		}
 	}
@@ -95,6 +95,101 @@ func TestEnsureCapacityNoAliasingAcrossSwaps(t *testing.T) {
 	buf.ensureCapacity(faded)
 	if buf.sizedFor != small.GPrime() {
 		t.Fatal("shared-core fast path re-sized the buffers")
+	}
+}
+
+// hubDual is a path backbone under a G' star: every node is an unreliable
+// neighbour of hub, so hub's G' in-degree is n-1 while every other node's
+// stays at most 3. Hubs at either end of the path give the same arc total.
+func hubDual(t *testing.T, n int, hub graph.NodeID) *graph.Dual {
+	t.Helper()
+	g := graph.NewBuilder(n, false)
+	for u := 0; u+1 < n; u++ {
+		g.MustAddEdge(graph.NodeID(u), graph.NodeID(u+1))
+	}
+	gp := g.Clone()
+	for v := 0; v < n; v++ {
+		if graph.NodeID(v) != hub {
+			gp.MustAddEdge(hub, graph.NodeID(v))
+		}
+	}
+	d, err := graph.NewDual(g, gp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// inBacking reports whether p addresses an element of backing.
+func inBacking(backing []graph.NodeID, p *graph.NodeID) bool {
+	for i := range backing {
+		if &backing[i] == p {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEnsureCapacityRecarvesInPlace drives a grow → shrink → grow → grow
+// swap sequence in both delivery modes: line → hub at node 0 (the backing
+// must grow) → line (rows kept) → hub at the last node (its row overflows,
+// but the total fits: re-carved inside the same backing) → hub at node 0
+// again (same). After every swap the run keeps its delivery mode, every row
+// holds its new G' in-degree, and rows filled to that bound with per-row
+// sentinels never see each other's writes.
+func TestEnsureCapacityRecarvesInPlace(t *testing.T) {
+	for _, n := range []int{9, 80} { // dense masks at 9, sparse bitsets at 80
+		line, err := graph.Line(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := hubDual(t, n, 0), hubDual(t, n, graph.NodeID(n-1))
+		buf := newRunBuffers(line)
+		wasDense := buf.dense
+		if wasDense != (n == 9) {
+			t.Fatalf("line(%d) dense=%v: fixture no longer covers both delivery modes", n, wasDense)
+		}
+		sent := make([]bool, n)
+		var backing *graph.NodeID
+		for step, d := range []*graph.Dual{first, line, last, first} {
+			buf.ensureCapacity(d)
+			if buf.dense != wasDense || (buf.dense && buf.sentBit == nil) || (!buf.dense && buf.firstFrom == nil) {
+				t.Fatalf("n=%d step %d: swap changed the per-run delivery mode", n, step)
+			}
+			switch step {
+			case 0:
+				backing = &buf.unrelBacking[0]
+			case 2, 3:
+				if &buf.unrelBacking[0] != backing {
+					t.Fatalf("n=%d step %d: re-carve reallocated a backing already large enough", n, step)
+				}
+			}
+			indeg := make([]int, n)
+			for u := 0; u < n; u++ {
+				for _, v := range d.GPrime().Out(graph.NodeID(u)) {
+					indeg[v]++
+				}
+			}
+			for v := 0; v < n; v++ {
+				if cap(buf.unrel[v]) < indeg[v] {
+					t.Fatalf("n=%d step %d: row %d capacity %d < G' in-degree %d", n, step, v, cap(buf.unrel[v]), indeg[v])
+				}
+				for s := 0; s < indeg[v]; s++ {
+					buf.addUnrel(graph.NodeID(v), graph.NodeID(v*1000+s))
+				}
+			}
+			for v := 0; v < n; v++ {
+				for s, got := range buf.unrel[v] {
+					if want := graph.NodeID(v*1000 + s); got != want {
+						t.Fatalf("n=%d step %d: row %d slot %d = %d, want %d: rows alias", n, step, v, s, got, want)
+					}
+				}
+				if len(buf.unrel[v]) > 0 && !inBacking(buf.unrelBacking, &buf.unrel[v][0]) {
+					t.Fatalf("n=%d step %d: row %d is not carved from the backing", n, step, v)
+				}
+			}
+			buf.clearRound(sent)
+		}
 	}
 }
 

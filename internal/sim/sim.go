@@ -422,9 +422,12 @@ type runBuffers struct {
 
 	// Unreliable deliveries per node, in sink-add order; rows carved from
 	// unrelBacking, sized by G' in-degree (every unreliable arc is a G' arc,
-	// so the bound survives every epoch that shares or shrinks G').
+	// so the bound survives every epoch that shares or shrinks G'). indeg is
+	// the in-degree scratch of that sizing, reused at every epoch swap.
 	unrel        [][]graph.NodeID
+	unrelBacking []graph.NodeID
 	unrelTouched []graph.NodeID
+	indeg        []int32
 
 	senders    []graph.NodeID
 	newHolders []graph.NodeID
@@ -455,22 +458,40 @@ type runBuffers struct {
 	sizedFor *graph.Graph
 }
 
-// unrelBound returns the per-node sizing of the unreliable-delivery rows: a
-// node can receive unreliable deliveries along at most its G' in-arcs. Both
-// newRunBuffers and ensureCapacity size against exactly this function, so
-// the initial carve and the epoch-swap overflow check can never disagree.
-// (A misbehaving adversary delivering the same arc twice in a round merely
-// falls back to an ordinary slice grow.)
-func unrelBound(d *graph.Dual) []int32 {
-	n := d.N()
-	gp := d.GPrime()
-	indeg := make([]int32, n)
-	for u := 0; u < n; u++ {
+// unrelBound fills b.indeg with the per-node sizing of the unreliable-
+// delivery rows: a node can receive unreliable deliveries along at most its
+// G' in-arcs. Both newRunBuffers and ensureCapacity size against exactly this
+// function, so the initial carve and the epoch-swap overflow check can never
+// disagree. (A misbehaving adversary delivering the same arc twice in a round
+// merely falls back to an ordinary slice grow.)
+func (b *runBuffers) unrelBound(gp *graph.Graph) {
+	clear(b.indeg)
+	for u := 0; u < b.n; u++ {
 		for _, v := range gp.Out(graph.NodeID(u)) {
-			indeg[v]++
+			b.indeg[v]++
 		}
 	}
-	return indeg
+}
+
+// carveUnrel carves the unrel rows from unrelBacking, row v with capacity
+// indeg[v], growing the backing only when the rows no longer fit in it. The
+// rows must be empty (clearRound ran): their contents are dropped. Each row's
+// capacity ends where the next row begins, so an append past the bound
+// reallocates instead of writing into a neighbour — rows never alias.
+func (b *runBuffers) carveUnrel() {
+	total := 0
+	for _, c := range b.indeg {
+		total += int(c)
+	}
+	if total > len(b.unrelBacking) {
+		b.unrelBacking = make([]graph.NodeID, total)
+	}
+	off := 0
+	for v, c := range b.indeg {
+		end := off + int(c)
+		b.unrel[v] = b.unrelBacking[off:off:end]
+		off = end
+	}
 }
 
 // newRunBuffers builds the per-run buffer set for d, choosing the delivery
@@ -480,31 +501,21 @@ func unrelBound(d *graph.Dual) []int32 {
 func newRunBuffers(d *graph.Dual) *runBuffers {
 	n := d.N()
 	g := d.G()
-	indeg := unrelBound(d)
-	total := 0
-	for _, c := range indeg {
-		total += int(c)
-	}
-	backing := make([]graph.NodeID, total)
-	unrel := make([][]graph.NodeID, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		end := off + int(indeg[v])
-		unrel[v] = backing[off:off:end]
-		off = end
-	}
 	words := (n + 63) / 64
 	b := &runBuffers{
 		n:            n,
 		reach1:       make([]uint64, words),
 		reach2:       make([]uint64, words),
-		unrel:        unrel,
+		unrel:        make([][]graph.NodeID, n),
 		unrelTouched: make([]graph.NodeID, 0, n),
+		indeg:        make([]int32, n),
 		senders:      make([]graph.NodeID, 0, n),
 		newHolders:   make([]graph.NodeID, 0, n),
 		dense:        n <= denseMaxN && g.NumEdges()*denseArcFactor >= n*n,
 		sizedFor:     d.GPrime(),
 	}
+	b.unrelBound(d.GPrime())
+	b.carveUnrel()
 	if b.dense {
 		b.maskW = words
 		b.sentBit = make([]uint64, words)
@@ -575,39 +586,26 @@ func (b *runBuffers) ensureInRows(g *graph.Graph) {
 }
 
 // ensureCapacity adapts the buffers to a new epoch's network at an epoch
-// swap. When every unrel row of the new network fits its existing capacity
-// the buffers are kept (the caller resets them at the top of the round); any
-// row that would overflow rebuilds the buffer set against the new network —
-// the lazy resize that guarantees rows never alias across epochs while
-// epochs with shrinking or stable in-degrees pay nothing.
+// swap, which runs after clearRound, so every unrel row is empty. When every
+// row of the new network fits its existing capacity the rows are kept as
+// they are; if any row would overflow, all rows are re-carved in place from
+// the kept backing against the new in-degrees (growing the backing only when
+// their total exceeds it). Epochs with shrinking or stable in-degrees pay one
+// scan of G', and no other buffer is touched: the delivery mode and its
+// indexes stay as they were.
 func (b *runBuffers) ensureCapacity(d *graph.Dual) {
 	if d.GPrime() == b.sizedFor {
 		// Same frozen G' core, same in-degree bound: nothing to scan.
 		return
 	}
-	indeg := unrelBound(d)
-	for v := 0; v < d.N(); v++ {
-		if int(indeg[v]) > cap(b.unrel[v]) {
-			nb := newRunBuffers(d)
-			// The mode is a per-run decision made against epoch 0; keep it
-			// (and any already-built indexes) so the loop shape never changes
-			// mid-run.
-			nb.dense = b.dense
-			if nb.dense && nb.sentBit == nil {
-				nb.maskW = (nb.n + 63) / 64
-				nb.sentBit = make([]uint64, nb.maskW)
-				nb.matKey = make([]uint64, nb.maskW)
-			}
-			nb.outMask, nb.inMask, nb.maskFor = b.outMask, b.inMask, b.maskFor
-			nb.inRows, nb.inRowsFor = b.inRows, b.inRowsFor
-			if nb.firstFrom == nil && !nb.dense {
-				nb.firstFrom = make([]graph.NodeID, nb.n)
-			}
-			*b = *nb
+	b.sizedFor = d.GPrime()
+	b.unrelBound(d.GPrime())
+	for v, c := range b.indeg {
+		if int(c) > cap(b.unrel[v]) {
+			b.carveUnrel()
 			return
 		}
 	}
-	b.sizedFor = d.GPrime()
 }
 
 // clearRound resets the round state, un-marking the previous round's senders
